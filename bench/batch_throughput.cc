@@ -136,8 +136,7 @@ int Main(int argc, char** argv) {
     BatchCleaner cleaner(constraints, options);
     // Per-job-count observability window (obs/metrics.h): workers fold
     // their thread-local sinks on exit and CleanAll joins them, so the
-    // capture below is an exact per-run total. All zero with
-    // -DRFIDCLEAN_STATS=OFF.
+    // capture below is an exact per-run total.
     obs::CleaningStats::Reset();
     Stopwatch watch;
     std::vector<TagOutcome> outcomes = cleaner.CleanAll(workloads);

@@ -307,12 +307,6 @@ int Main(int argc, char** argv) {
   CtGraphBuilder builder(constraints, build_options);
 
   if (trace_arg != nullptr) {
-    if (!obs::TraceCompiledIn()) {
-      std::fprintf(stderr,
-                   "error: --trace requires a tracing-enabled build (this "
-                   "binary was configured with -DRFIDCLEAN_TRACE=OFF)\n");
-      return 1;
-    }
     obs::TraceOptions trace_options;
     trace_options.enabled = true;
     obs::StartTracing(trace_options);
@@ -323,15 +317,6 @@ int Main(int argc, char** argv) {
   // Accumulated across points: re-arming per rep (below) keeps exactly one
   // summary per point alive, which this collection preserves for export.
   obs::ExplainCollection explain_report;
-  if (explain_arg != nullptr) {
-    if (!obs::ExplainCompiledIn()) {
-      std::fprintf(stderr,
-                   "error: --explain requires an explain-enabled build "
-                   "(this binary was configured with "
-                   "-DRFIDCLEAN_EXPLAIN=OFF)\n");
-      return 1;
-    }
-  }
 
   BenchJson json("core_build", scale.Label());
   json.params()
@@ -390,11 +375,11 @@ int Main(int argc, char** argv) {
                                  point.tags.begin(), point.tags.end());
       explain_report.dropped_events += point.dropped_events;
     }
-    // Snapshot of the final rep's observability counters (obs/metrics.h);
-    // all zero when built with -DRFIDCLEAN_STATS=OFF. These double as a
-    // semantic cross-check: the invariants relate them to each other and to
-    // the digest-checked graph, so a miscounting instrumentation point
-    // fails the bench rather than silently skewing dashboards.
+    // Snapshot of the final rep's observability counters (obs/metrics.h).
+    // These double as a semantic cross-check: the invariants relate them to
+    // each other and to the digest-checked graph, so a miscounting
+    // instrumentation point fails the bench rather than silently skewing
+    // dashboards.
     const obs::CleaningStats stats_snapshot = obs::CleaningStats::Capture();
     for (const std::string& violation : stats_snapshot.CheckInvariants()) {
       std::fprintf(stderr, "stats invariant violated: %s\n",

@@ -28,7 +28,6 @@ inline bool MoveAllowed(const ConstraintSet& constraints, LocationId a,
          constraints.MinTravelTicks(a, b) <= 1;
 }
 
-#if RFIDCLEAN_EXPLAIN_ENABLED
 /// A doomed tag never reaches conditioning, so the preflight fast-fail is
 /// the only place its kill decision can be explained: one preflight event
 /// for the doomed tick plus a failure summary whose killed-candidate list
@@ -66,7 +65,6 @@ void RecordDoomedExplain(const PreflightPlan& plan,
   }
   obs::RecordTagExplain(std::move(summary));
 }
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED
 
 }  // namespace
 
@@ -145,7 +143,7 @@ FeasibilityOracle::FeasibilityOracle(const ConstraintSet& constraints)
 
 PreflightPlan FeasibilityOracle::Analyze(const LSequence& sequence) const {
   obs::PhaseTimer timer(obs::Phase::kPreflight);
-  RFID_TRACE_SPAN(span, "analysis", "preflight");
+  obs::TraceSpan span("analysis", "preflight");
   const ConstraintSet& constraints = *constraints_;
   const std::size_t length = static_cast<std::size_t>(sequence.length());
 
@@ -264,17 +262,16 @@ PreflightPlan FeasibilityOracle::Analyze(const LSequence& sequence) const {
     }
   }
 
-  RFID_STATS(obs::Add(obs::Counter::kPreflightNodesPruned,
-                      plan.candidates_pruned));
-  RFID_STATS(obs::Add(obs::Counter::kPreflightEdgesPruned, plan.edges_pruned));
+  obs::Add(obs::Counter::kPreflightNodesPruned, plan.candidates_pruned);
+  obs::Add(obs::Counter::kPreflightEdgesPruned, plan.edges_pruned);
   if (plan.doomed()) {
-    RFID_STATS(obs::Add(obs::Counter::kPreflightTagsDoomed));
-    RFID_EXPLAIN(RecordDoomedExplain(plan, sequence));
+    obs::Add(obs::Counter::kPreflightTagsDoomed);
+    RecordDoomedExplain(plan, sequence);
   }
-  RFID_TRACE(span.AddArg("ticks", static_cast<std::uint64_t>(length)));
-  RFID_TRACE(span.AddArg("pruned_nodes", plan.candidates_pruned));
-  RFID_TRACE(span.AddArg("pruned_edges", plan.edges_pruned));
-  RFID_TRACE(span.AddArg("doomed", plan.doomed() ? 1 : 0));
+  span.AddArg("ticks", static_cast<std::uint64_t>(length));
+  span.AddArg("pruned_nodes", plan.candidates_pruned);
+  span.AddArg("pruned_edges", plan.edges_pruned);
+  span.AddArg("doomed", plan.doomed() ? 1 : 0);
   return plan;
 }
 

@@ -1,13 +1,21 @@
 #include "common/simd.h"
 
+#if defined(RFIDCLEAN_SIMD_OFF) || !defined(__x86_64__)
+#define RFIDCLEAN_SIMD_ENABLED 0
+#else
+#define RFIDCLEAN_SIMD_ENABLED 1
+#endif
+
 namespace rfidclean::simd {
 
 namespace internal {
 
 #if RFIDCLEAN_SIMD_ENABLED
 const bool g_cpu_vector_ok = __builtin_cpu_supports("avx2");
-bool g_force_scalar = false;
+#else
+const bool g_cpu_vector_ok = false;
 #endif
+bool g_force_scalar = false;
 
 double BlockedSumScalar(const double* x, std::size_t n) {
   return BlockedSum4(x, n);
@@ -47,13 +55,9 @@ ProbeGroupMasks ScanProbeGroupScalar(const std::int32_t* slots,
 
 }  // namespace internal
 
-void ForceScalarForTesting(bool force) {
-#if RFIDCLEAN_SIMD_ENABLED
-  internal::g_force_scalar = force;
-#else
-  (void)force;
-#endif
-}
+bool VectorKernelsBuilt() { return RFIDCLEAN_SIMD_ENABLED != 0; }
+
+void ForceScalarForTesting(bool force) { internal::g_force_scalar = force; }
 
 double BlockedSum(const double* x, std::size_t n) {
 #if RFIDCLEAN_SIMD_ENABLED

@@ -12,7 +12,7 @@
 /// ct-graph is byte-identical whether a build runs the vector unit, the
 /// scalar fallback (old CPU, or ForceScalarForTesting), or a binary
 /// configured with -DRFIDCLEAN_SIMD=OFF. The differential suite and a CI
-/// job enforce this exactly like the trace-off digest gate.
+/// job enforce this.
 ///
 /// Reduction contract (docs/ALGORITHM.md §13): sums use a fixed 4-lane
 /// blocked reduction. Lane j accumulates the elements with index ≡ j
@@ -26,41 +26,33 @@
 ///
 /// Configure with -DRFIDCLEAN_SIMD=OFF to exclude the vector translation
 /// unit entirely (the build defines RFIDCLEAN_SIMD_OFF); the binary then
-/// contains zero vector-kernel symbols, which CI checks with `nm`.
-
-#if defined(RFIDCLEAN_SIMD_OFF) || !defined(__x86_64__)
-#define RFIDCLEAN_SIMD_ENABLED 0
-#else
-#define RFIDCLEAN_SIMD_ENABLED 1
-#endif
+/// contains zero vector-kernel symbols, which CI checks with `nm`. Only
+/// simd.cc and simd_avx2.cc test that definition — this header is the same
+/// in every build, so a consumer compiled without the project's definitions
+/// still agrees with the library.
 
 namespace rfidclean::simd {
 
 namespace internal {
-#if RFIDCLEAN_SIMD_ENABLED
-/// Whether the running CPU offers the vector unit (detected once at load).
+/// Whether the vector kernels are built in and the running CPU offers the
+/// vector unit (detected once at load; false in SIMD-off builds).
 extern const bool g_cpu_vector_ok;
 /// Test hook: forces every dispatched kernel onto the scalar path.
 extern bool g_force_scalar;
-#endif
 }  // namespace internal
 
-/// Whether this build compiled the vector kernels in (compile-time).
-constexpr bool CompiledIn() { return RFIDCLEAN_SIMD_ENABLED != 0; }
+/// Whether this build compiled the vector kernels in.
+bool VectorKernelsBuilt();
 
 /// Whether dispatched kernels currently take the vector path: compiled in,
 /// supported by the running CPU, and not forced scalar by a test.
 inline bool VectorKernelsActive() {
-#if RFIDCLEAN_SIMD_ENABLED
   return internal::g_cpu_vector_ok && !internal::g_force_scalar;
-#else
-  return false;
-#endif
 }
 
 /// Routes every dispatched kernel through the scalar reference while
 /// `force` is true. Results are bit-identical either way — that is the
-/// point: tests flip this to prove it. No-op in SIMD-off builds.
+/// point: tests flip this to prove it.
 void ForceScalarForTesting(bool force);
 
 /// The canonical blocked reduction (see the file comment). Inline scalar —
@@ -143,7 +135,6 @@ ProbeGroupMasks ScanProbeGroupScalar(const std::int32_t* slots,
                                      const std::size_t* hashes,
                                      std::size_t target_hash);
 
-#if RFIDCLEAN_SIMD_ENABLED
 // Implemented in simd_avx2.cc (the only translation unit built with
 // -mavx2); absent from SIMD-off binaries, which CI verifies with nm.
 double BlockedSumAvx2(const double* x, std::size_t n);
@@ -155,7 +146,6 @@ void GatherProductsAvx2(const double* values, std::size_t value_stride,
 ProbeGroupMasks ScanProbeGroupAvx2(const std::int32_t* slots,
                                    const std::size_t* hashes,
                                    std::size_t target_hash);
-#endif
 
 }  // namespace internal
 

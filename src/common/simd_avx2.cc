@@ -10,7 +10,7 @@
 
 #include "common/simd.h"
 
-#if RFIDCLEAN_SIMD_ENABLED
+#if !defined(RFIDCLEAN_SIMD_OFF) && defined(__x86_64__)
 
 #include <immintrin.h>
 
@@ -114,4 +114,4 @@ ProbeGroupMasks ScanProbeGroupAvx2(const std::int32_t* slots,
 
 }  // namespace rfidclean::simd::internal
 
-#endif  // RFIDCLEAN_SIMD_ENABLED
+#endif  // !RFIDCLEAN_SIMD_OFF && __x86_64__

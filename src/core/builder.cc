@@ -28,9 +28,8 @@ CtGraphBuilder::CtGraphBuilder(const ConstraintSet& constraints,
 
 Result<CtGraph> CtGraphBuilder::Build(const LSequence& sequence,
                                       BuildStats* stats) const {
-  RFID_TRACE_SPAN(span, "core", "build");
-  RFID_TRACE(
-      span.AddArg("ticks", static_cast<std::uint64_t>(sequence.length())));
+  obs::TraceSpan span("core", "build");
+  span.AddArg("ticks", static_cast<std::uint64_t>(sequence.length()));
   const Timestamp length = sequence.length();
 
   Stopwatch stopwatch;
@@ -88,8 +87,7 @@ Result<CtGraph> CtGraphBuilder::Build(const LSequence& sequence,
 
   // While an explain session is armed, hand the attribution pass the full
   // candidate lists (with the plan's pruned flags) and the successor
-  // generator. Dead code in explain-off builds (ExplainArmed() is a
-  // compile-time false), and never perturbs the produced graph.
+  // generator. Never perturbs the produced graph.
   internal_core::ExplainBuildContext explain_ctx;
   const internal_core::ExplainBuildContext* explain = nullptr;
   if (obs::ExplainArmed()) {

@@ -68,7 +68,7 @@ void ForwardEngine::EnsureKeyCapacity(std::size_t num_keys) {
 
 void ForwardEngine::BeginSources(const SuccessorGenerator& successors,
                                  const std::vector<Candidate>& candidates) {
-  RFID_TRACE_SPAN(span, "forward", "forward_sources");
+  obs::TraceSpan span("forward", "forward_sources");
   RFID_CHECK(work_.layer_begin.empty());
   work_.layer_begin.push_back(0);
   FillProbabilities(candidates);
@@ -84,20 +84,18 @@ void ForwardEngine::BeginSources(const SuccessorGenerator& successors,
   EnsureKeyCapacity(work_.keys.size());
   work_.layer_begin.push_back(static_cast<std::int32_t>(work_.nodes.size()));
   prev_locations_.clear();  // First AdvanceLayer always opens a new epoch.
-  RFID_TRACE(span.AddArg("width", work_.nodes.size()));
-#if RFIDCLEAN_STATS_ENABLED
+  span.AddArg("width", work_.nodes.size());
   obs::Add(obs::Counter::kForwardLayers);
   obs::Add(obs::Counter::kForwardNodes, work_.nodes.size());
   obs::ObserveValue(obs::Dist::kLayerWidth, work_.nodes.size());
-#endif
 }
 
 bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
                                  Timestamp t,
                                  const std::vector<Candidate>& next_candidates,
                                  bool record_empty_layer) {
-  RFID_TRACE_SPAN(span, "forward", "forward_layer");
-  RFID_TRACE(span.AddArg("t", static_cast<std::uint64_t>(t)));
+  obs::TraceSpan span("forward", "forward_layer");
+  span.AddArg("t", static_cast<std::uint64_t>(t));
   RFID_CHECK_GE(work_.layer_begin.size(), 2u);
 
   // The memo epoch tracks the candidate *location sequence*: while
@@ -128,13 +126,11 @@ bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
   const std::int32_t frontier_begin =
       work_.layer_begin[work_.layer_begin.size() - 2];
   const std::int32_t frontier_end = work_.layer_begin.back();
-  [[maybe_unused]] const std::size_t edges_before = work_.edges.size();
+  const std::size_t edges_before = work_.edges.size();
 
-#if RFIDCLEAN_STATS_ENABLED
   // Per-layer accumulation in locals, flushed once below: the frontier loop
   // must not touch a thread-local sink per node or per edge.
   std::uint64_t stats_memo_hits = 0;
-#endif
 
   // Phase A (optional, parallel): run successor generation — constraint
   // checks, key construction, hashing; the dominant forward-phase cost —
@@ -210,7 +206,7 @@ bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
       // memo since. Preferring it — and discarding that node's Phase A
       // record, which is addressed by begin/count and never compacted —
       // keeps hit counters identical to the sequential build.
-      RFID_STATS(++stats_memo_hits);
+      ++stats_memo_hits;
       for (std::int32_t k = 0; k < memo.count; ++k) {
         scratch_ids_.push_back(
             memo_pool_[static_cast<std::size_t>(memo.begin + k)]);
@@ -288,7 +284,6 @@ bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
 
   const std::int32_t layer_end = static_cast<std::int32_t>(work_.nodes.size());
   const bool non_empty = layer_end != frontier_end;
-#if RFIDCLEAN_STATS_ENABLED
   // Expansion work happened whether or not the layer gets recorded (an
   // unrecorded empty layer leaves the frontier in place, so the same nodes
   // are processed again on the next tick).
@@ -304,20 +299,17 @@ bool ForwardEngine::AdvanceLayer(const SuccessorGenerator& successors,
     obs::Add(obs::Counter::kForwardEdges, work_.edges.size() - edges_before);
     obs::ObserveValue(obs::Dist::kLayerWidth, stats_width);
   }
-  RFID_TRACE(span.AddArg("memo_hits", stats_memo_hits));
-#endif
-  RFID_TRACE(
-      span.AddArg("width", static_cast<std::uint64_t>(layer_end -
-                                                      frontier_end)));
-  RFID_TRACE(span.AddArg("edges", work_.edges.size() - edges_before));
+  span.AddArg("memo_hits", stats_memo_hits);
+  span.AddArg("width", static_cast<std::uint64_t>(layer_end - frontier_end));
+  span.AddArg("edges", work_.edges.size() - edges_before);
   if (!non_empty) {
     // Structural dead end: no frontier node admits any successor at t + 1,
     // so every interpretation dies here. The unit mass marks the decision
     // in the event stream; per-candidate attribution happens in the
     // conditioning pass (which knows the forward masses).
-    RFID_EXPLAIN(obs::RecordExplainEvent(
+    obs::RecordExplainEvent(
         {obs::ExplainCurrentTag(), t + 1, -1, -1, obs::ExplainPhase::kForward,
-         obs::ExplainConstraint::kInfeasible, 1.0}));
+         obs::ExplainConstraint::kInfeasible, 1.0});
   }
   if (!non_empty && !record_empty_layer) {
     // An empty expansion appended no node and no edge, and the frontier's

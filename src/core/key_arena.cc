@@ -31,9 +31,8 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
   // CheckInvariants relies on probe_steps >= intern_calls). The batched
   // probe below preserves the position-based count: steps stays the number
   // of slots the scalar probe would have walked to reach the accepted one.
-  RFID_STATS(++intern_calls_);
+  ++intern_calls_;
   std::uint64_t steps = 1;
-  (void)steps;
   if (key.departures.size() == 0) {
     // Keep the load factor below ~0.7 so probe chains stay short.
     if (persistent_slots_.empty() ||
@@ -51,16 +50,16 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
         const std::int32_t fresh = Append(key, hash);
         persistent_slots_[slot] = fresh;
         ++persistent_count_;
-        RFID_STATS(RecordProbe(steps));
+        RecordProbe(steps);
         return fresh;
       }
       if (hashes_[static_cast<std::size_t>(id)] == hash &&
           keys_[static_cast<std::size_t>(id)] == key) {
-        RFID_STATS(RecordProbe(steps));
+        RecordProbe(steps);
         return id;
       }
       slot = (slot + 1) & persistent_mask_;
-      RFID_STATS(++steps);
+      ++steps;
     }
     for (;;) {
       if (simd::VectorKernelsActive() &&
@@ -77,23 +76,23 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
           const unsigned j =
               static_cast<unsigned>(std::countr_zero(candidates));
           if ((masks.empty >> j) & 1u) {
-            RFID_STATS(steps += j);
+            steps += j;
             const std::int32_t fresh = Append(key, hash);
             persistent_slots_[slot + j] = fresh;
             ++persistent_count_;
-            RFID_STATS(RecordProbe(steps));
+            RecordProbe(steps);
             return fresh;
           }
           const std::int32_t id = persistent_slots_[slot + j];
           if (keys_[static_cast<std::size_t>(id)] == key) {
-            RFID_STATS(steps += j);
-            RFID_STATS(RecordProbe(steps));
+            steps += j;
+            RecordProbe(steps);
             return id;
           }
           candidates &= candidates - 1;  // hash collision: next candidate
         }
         slot = (slot + simd::kProbeGroupWidth) & persistent_mask_;
-        RFID_STATS(steps += simd::kProbeGroupWidth);
+        steps += simd::kProbeGroupWidth;
         continue;
       }
       // Scalar step (SIMD off, or the group would wrap the table end).
@@ -102,16 +101,16 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
         const std::int32_t fresh = Append(key, hash);
         persistent_slots_[slot] = fresh;
         ++persistent_count_;
-        RFID_STATS(RecordProbe(steps));
+        RecordProbe(steps);
         return fresh;
       }
       if (hashes_[static_cast<std::size_t>(id)] == hash &&
           keys_[static_cast<std::size_t>(id)] == key) {
-        RFID_STATS(RecordProbe(steps));
+        RecordProbe(steps);
         return id;
       }
       slot = (slot + 1) & persistent_mask_;
-      RFID_STATS(++steps);
+      ++steps;
     }
   }
 
@@ -129,11 +128,11 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
     const std::int32_t id = scoped_slots_[slot].id;
     if (hashes_[static_cast<std::size_t>(id)] == hash &&
         keys_[static_cast<std::size_t>(id)] == key) {
-      RFID_STATS(RecordProbe(steps));
+      RecordProbe(steps);
       return id;
     }
     slot = (slot + 1) & scoped_mask_;
-    RFID_STATS(++steps);
+    ++steps;
   }
   // First empty-or-expired slot: insertion point. Within one scope this is
   // plain linear probing — current-scope chains never extend past a stale
@@ -141,7 +140,7 @@ std::int32_t NodeKeyArena::Intern(const NodeKey& key, std::uint32_t scope,
   const std::int32_t id = Append(key, hash);
   scoped_slots_[slot] = ScopedSlot{scope, id};
   ++scoped_count_;
-  RFID_STATS(RecordProbe(steps));
+  RecordProbe(steps);
   return id;
 }
 

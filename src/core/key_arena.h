@@ -66,9 +66,7 @@ class NodeKeyArena {
   /// builds through this).
   void Reserve(std::size_t expected_keys);
 
-  /// Lifetime interning statistics of this arena (obs feed). The counters
-  /// are all-zero when stats are compiled out; the table shape fields are
-  /// always live.
+  /// Lifetime interning statistics of this arena (obs feed).
   struct InternStats {
     std::uint64_t intern_calls = 0;  ///< Intern() invocations
     std::uint64_t probe_steps = 0;   ///< slots inspected across both tables
@@ -79,9 +77,9 @@ class NodeKeyArena {
   };
   InternStats intern_stats() const {
     InternStats stats;
-    RFID_STATS(stats.intern_calls = intern_calls_);
-    RFID_STATS(stats.probe_steps = probe_steps_);
-    RFID_STATS(stats.probe_max = probe_max_);
+    stats.intern_calls = intern_calls_;
+    stats.probe_steps = probe_steps_;
+    stats.probe_max = probe_max_;
     stats.persistent_entries = persistent_count_;
     stats.persistent_capacity = persistent_slots_.size();
     stats.scoped_capacity = scoped_slots_.size();
@@ -120,7 +118,6 @@ class NodeKeyArena {
   std::uint32_t current_scope_ = 0;
   std::size_t scoped_count_ = 0;  // live entries of current_scope_
 
-#if RFIDCLEAN_STATS_ENABLED
   // Plain members, not thread-local sinks: Intern is the hottest loop in
   // the forward phase, so the per-call cost must stay at register adds.
   // ConditionAndCompact folds these into the obs sinks once per build.
@@ -131,7 +128,6 @@ class NodeKeyArena {
   std::uint64_t intern_calls_ = 0;
   std::uint64_t probe_steps_ = 0;
   std::uint64_t probe_max_ = 0;
-#endif
 };
 
 }  // namespace rfidclean::internal_core

@@ -64,8 +64,8 @@ void StreamingCleaner::SetPreflightPlan(const PreflightPlan* plan) {
 }
 
 Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
-  RFID_TRACE_SPAN(span, "stream", "stream_push");
-  RFID_TRACE(span.AddArg("t", static_cast<std::uint64_t>(TicksSeen())));
+  obs::TraceSpan span("stream", "stream_push");
+  span.AddArg("t", static_cast<std::uint64_t>(TicksSeen()));
   if (failed_) {
     return FailedPreconditionError(
         "a previous tick left no consistent interpretation");
@@ -74,8 +74,7 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   RFID_RETURN_IF_ERROR(ValidateCandidates(candidates));
 
   // Explain capture: the attribution pass needs the *full* tick (with the
-  // plan's pruned flags), not the filtered one the engine sees. Dead code
-  // when explain is compiled out (ExplainArmed() is a compile-time false).
+  // plan's pruned flags), not the filtered one the engine sees.
   if (obs::ExplainArmed()) {
     explain_ctx_.successors = successors_;
     const std::size_t t = static_cast<std::size_t>(TicksSeen());
@@ -167,7 +166,7 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
     // and further Pushes are rejected.
     frontier_alpha_.swap(next_alpha_);
     failed_ = true;
-    RFID_STATS(obs::Add(obs::Counter::kStreamAlphaUnderflows));
+    obs::Add(obs::Counter::kStreamAlphaUnderflows);
     if (obs::ExplainArmed()) explain_ctx_.alpha_deltas.push_back(1.0);
     return FailedPreconditionError(
         "the filtered probability mass of every remaining interpretation "
@@ -224,8 +223,8 @@ StreamingCleaner::CurrentDistribution() const {
 }
 
 Result<CtGraph> StreamingCleaner::Finish(BuildStats* stats) && {
-  RFID_TRACE_SPAN(span, "stream", "stream_finish");
-  RFID_TRACE(span.AddArg("ticks", static_cast<std::uint64_t>(TicksSeen())));
+  obs::TraceSpan span("stream", "stream_finish");
+  span.AddArg("ticks", static_cast<std::uint64_t>(TicksSeen()));
   RFID_CHECK_GT(engine_.num_layers(), 0);
   if (stats != nullptr) {
     stats->peak_nodes = engine_.work().nodes.size();

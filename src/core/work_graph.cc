@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -13,10 +14,6 @@
 #include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#if RFIDCLEAN_EXPLAIN_ENABLED
-#include <memory>
-#endif
 
 namespace rfidclean::internal_core {
 
@@ -41,7 +38,6 @@ static_assert(kNodeStrideDoubles == 5 &&
 /// (builder and streaming both funnel through it), so the arena itself
 /// never needs thread-local access.
 void FlushKeyArenaStats(const NodeKeyArena& keys) {
-#if RFIDCLEAN_STATS_ENABLED
   const NodeKeyArena::InternStats arena = keys.intern_stats();
   obs::Add(obs::Counter::kForwardKeysInterned, keys.size());
   obs::Add(obs::Counter::kKeyInternCalls, arena.intern_calls);
@@ -52,12 +48,7 @@ void FlushKeyArenaStats(const NodeKeyArena& keys) {
                       100 * arena.persistent_entries /
                           arena.persistent_capacity);
   }
-#else
-  (void)keys;
-#endif
 }
-
-#if RFIDCLEAN_EXPLAIN_ENABLED
 
 /// Retention cap of the per-tag killed-candidate list; overflow is counted
 /// in killed_candidates_truncated instead of growing the summary without
@@ -625,8 +616,6 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
   return state;
 }
 
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED
-
 }  // namespace
 
 Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
@@ -638,16 +627,12 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   std::vector<WorkEdge>& edges = work.edges;
   const Timestamp length = work.num_layers();
   RFID_CHECK_GT(length, 0);
-#if RFIDCLEAN_EXPLAIN_ENABLED
   // Attribution must read the pristine forward-phase labels: the sweep
   // below overwrites edge probabilities and survival masses in place.
   std::unique_ptr<ExplainPassState> explain_state;
   if (explain != nullptr && obs::ExplainArmed()) {
     explain_state = RunExplainAttribution(work, *explain);
   }
-#else
-  (void)explain;
-#endif
   auto layer_range = [&work](Timestamp t) {
     return std::pair<std::int32_t, std::int32_t>(
         work.layer_begin[static_cast<std::size_t>(t)],
@@ -663,17 +648,13 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   // Both sweeps stream the layer's nodes and their CSR edge slices in
   // ascending id order — all memory access is sequential except the gather
   // of the next layer's `survived`.
-#if RFIDCLEAN_STATS_ENABLED
   // Accumulated in locals over the whole sweep, flushed once after it: the
   // backward loops are the second-hottest path after interning.
   std::uint64_t stats_edges_kept = 0;
   std::uint64_t stats_nodes_dead = 0;
-#endif
   {
-    RFID_TRACE_SPAN(sweep_span, "backward", "backward_sweep");
-    RFID_TRACE(
-        sweep_span.AddArg("renorm_passes",
-                          static_cast<std::uint64_t>(length - 1)));
+    obs::TraceSpan sweep_span("backward", "backward_sweep");
+    sweep_span.AddArg("renorm_passes", static_cast<std::uint64_t>(length - 1));
     // Per-edge p(k)·S(k) products of one layer's contiguous edge slab,
     // computed by the dispatched kernel and consumed by both passes.
     // Per-node masses use the fixed zero-skipping 4-lane blocked reduction
@@ -729,7 +710,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
           // by reachability and compaction), so they keep their a-priori
           // labels.
           node.alive = false;
-          RFID_STATS(++stats_nodes_dead);
+          ++stats_nodes_dead;
           continue;
         }
         WorkEdge* out =
@@ -744,19 +725,14 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
           const double conditioned =
               node_products[k] / node.survived;
           out[k].probability = conditioned > 0.0 ? conditioned : 0.0;
-          RFID_STATS(stats_edges_kept +=
-                     static_cast<std::uint64_t>(conditioned > 0.0));
+          stats_edges_kept += static_cast<std::uint64_t>(conditioned > 0.0);
         }
         node.survived /= layer_max;
       }
     }
-#if RFIDCLEAN_STATS_ENABLED
-    RFID_TRACE(sweep_span.AddArg("edges_killed",
-                                 edges.size() - stats_edges_kept));
-    RFID_TRACE(sweep_span.AddArg("nodes_dead", stats_nodes_dead));
-#endif
+    sweep_span.AddArg("edges_killed", edges.size() - stats_edges_kept);
+    sweep_span.AddArg("nodes_dead", stats_nodes_dead);
   }
-#if RFIDCLEAN_STATS_ENABLED
   // An edge is "kept" iff conditioning left it a positive probability on a
   // live owner; everything else (zeroed in place, or stranded on a dead
   // node) is killed. kept + killed == built by construction.
@@ -767,7 +743,6 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   obs::Add(obs::Counter::kBackwardNodesDead, stats_nodes_dead);
   obs::Add(obs::Counter::kBackwardRenormPasses,
            static_cast<std::uint64_t>(length - 1));
-#endif
 
   // Lines 30-31 with the source-weighting erratum fix (see DESIGN.md):
   // each surviving source is weighted by its surviving suffix mass.
@@ -785,36 +760,33 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   if (source_mass <= 0.0) {
     // Total death is booked entirely to the backward phase (compaction
     // never ran); both splits are sampled so their counts stay paired.
-    RFID_STATS(
-        obs::ObserveValue(obs::Dist::kMassLostBackwardPpb, 1000000000u));
-    RFID_STATS(obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, 0u));
+    obs::ObserveValue(obs::Dist::kMassLostBackwardPpb, 1000000000u);
+    obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, 0u);
     Status failure = FailedPreconditionError(
         "the integrity constraints rule out every interpretation of the "
         "readings");
-#if RFIDCLEAN_EXPLAIN_ENABLED
     if (explain_state != nullptr) {
       explain_state->summary.status = failure.message();
       explain_state->summary.mass_lost_backward_ppb = 1000000000u;
       obs::RecordTagExplain(std::move(explain_state->summary));
     }
-#endif
     return failure;
   }
   // Source mass is the survival-weighted total; the complement is the
   // a-priori probability mass the constraints ruled out. Sampled in
   // parts-per-billion (clamped: rescaling can leave source_mass at 1+ε).
-  // Computed outside the stats gate because the explain summary carries the
-  // same integer — the two must reconcile exactly (obs_stats_test).
+  // The explain summary carries the same integer — the two must reconcile
+  // exactly (obs_stats_test).
   const double lost = 1.0 - source_mass;
-  [[maybe_unused]] const std::uint64_t backward_ppb =
+  const std::uint64_t backward_ppb =
       lost > 0.0 ? static_cast<std::uint64_t>(lost * 1e9) : 0u;
-  RFID_STATS(obs::ObserveValue(obs::Dist::kMassLostBackwardPpb, backward_ppb));
+  obs::ObserveValue(obs::Dist::kMassLostBackwardPpb, backward_ppb);
 
   // --- Compaction: alive nodes reachable from a surviving source through
   // live edges (explicit reachability: per-edge products can underflow to
   // zero under extreme probability ranges). A live edge is one whose
   // conditioned probability stayed positive.
-  RFID_TRACE_SPAN(compact_span, "backward", "compact");
+  obs::TraceSpan compact_span("backward", "compact");
   std::vector<bool> reachable(nodes.size(), false);
   {
     const auto [begin, end] = layer_range(0);
@@ -845,7 +817,6 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i].alive && reachable[i]) {
       ++survivors;
-#if RFIDCLEAN_EXPLAIN_ENABLED
     } else if (explain_state != nullptr && nodes[i].alive) {
       // Stranded: the node survived the backward sweep but no surviving
       // source reaches it. Recorded at the real compaction decision point;
@@ -862,7 +833,6 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
       ++explain_state->summary
             .constraints[static_cast<int>(obs::ExplainConstraint::kStranded)]
             .kills;
-#endif
     }
   }
   // Conditioned source mass compaction drops: surviving t = 0 sources no
@@ -879,12 +849,11 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
       }
     }
   }
-  [[maybe_unused]] const std::uint64_t compaction_ppb =
+  const std::uint64_t compaction_ppb =
       stranded_mass > 0.0
           ? static_cast<std::uint64_t>(stranded_mass * 1e9)
           : 0u;
-  RFID_STATS(
-      obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, compaction_ppb));
+  obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, compaction_ppb);
   std::vector<CtGraph::Node> compact;
   compact.reserve(survivors);
   std::vector<NodeId> remap(nodes.size(), kInvalidNode);
@@ -899,7 +868,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
         node.time == 0 ? node.source_probability / source_mass : 0.0;
     compact.push_back(std::move(out));
   }
-  [[maybe_unused]] std::size_t live_edges_total = 0;  // trace arg only
+  std::size_t live_edges_total = 0;  // trace arg only
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const NodeId from = remap[i];
     if (from == kInvalidNode) continue;
@@ -926,10 +895,8 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
       out_edges.push_back(CtGraph::Edge{to, out[k].probability});
     }
   }
-  RFID_TRACE(
-      compact_span.AddArg("nodes", static_cast<std::uint64_t>(survivors)));
-  RFID_TRACE(compact_span.AddArg(
-      "edges", static_cast<std::uint64_t>(live_edges_total)));
+  compact_span.AddArg("nodes", static_cast<std::uint64_t>(survivors));
+  compact_span.AddArg("edges", static_cast<std::uint64_t>(live_edges_total));
   Result<CtGraph> graph = CtGraph::Assemble(std::move(compact), length);
   RFID_CHECK(graph.ok());  // Construction invariants guarantee validity.
   if (stats != nullptr) {
@@ -937,14 +904,12 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
     stats->final_nodes = graph.value().NumNodes();
     stats->final_edges = graph.value().NumEdges();
   }
-#if RFIDCLEAN_EXPLAIN_ENABLED
   if (explain_state != nullptr) {
     explain_state->summary.status = "ok";
     explain_state->summary.mass_lost_backward_ppb = backward_ppb;
     explain_state->summary.mass_lost_compaction_ppb = compaction_ppb;
     obs::RecordTagExplain(std::move(explain_state->summary));
   }
-#endif
   return graph;
 }
 

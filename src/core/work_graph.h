@@ -69,9 +69,7 @@ struct WorkGraph {
 /// One a-priori candidate of one tick, as the explain attribution pass
 /// (obs/explain.h) needs it: the raw location/probability pair plus whether
 /// the preflight plan statically removed it before the forward phase saw
-/// it. Defined in every build mode — the struct is ABI for
-/// ConditionAndCompact's optional parameter; the pass itself compiles away
-/// with RFIDCLEAN_EXPLAIN=OFF.
+/// it.
 struct ExplainTickCandidate {
   LocationId location = -1;
   double probability = 0.0;

@@ -79,13 +79,13 @@ void WriteBuilding(const Building& building, std::ostream& os) {
 
 Result<Building> ReadBuilding(std::istream& is) {
   obs::PhaseTimer phase_timer(obs::Phase::kIoParse);
-  RFID_TRACE_SPAN(span, "io", "io_parse_building");
+  obs::TraceSpan span("io", "io_parse_building");
   std::optional<BuildingBuilder> builder;
   std::unordered_map<std::string, LocationId> by_name;
   std::string line;
   int line_number = 0;
   auto error = [&line_number](const char* message) {
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsRejected));
+    obs::Add(obs::Counter::kIoRowsRejected);
     return InvalidArgumentError(
         StrFormat("line %d: %s", line_number, message));
   };
@@ -156,12 +156,12 @@ Result<Building> ReadBuilding(std::istream& is) {
     } else {
       return error("unknown directive");
     }
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsParsed));
+    obs::Add(obs::Counter::kIoRowsParsed);
   }
   if (!builder.has_value()) {
     return InvalidArgumentError("no 'building' line found");
   }
-  RFID_TRACE(span.AddArg("rows", static_cast<std::uint64_t>(line_number)));
+  span.AddArg("rows", static_cast<std::uint64_t>(line_number));
   return builder->Build();
 }
 

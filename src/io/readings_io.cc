@@ -87,10 +87,10 @@ void WriteReadingsCsv(const RSequence& sequence, std::ostream& os) {
 
 Result<RSequence> ReadReadingsCsv(std::istream& is) {
   obs::PhaseTimer phase_timer(obs::Phase::kIoParse);
-  RFID_TRACE_SPAN(span, "io", "io_parse_readings");
+  obs::TraceSpan span("io", "io_parse_readings");
   std::string line;
   if (!std::getline(is, line) || StripWhitespace(line) != "time,readers") {
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsRejected));
+    obs::Add(obs::Counter::kIoRowsRejected);
     return InvalidArgumentError("missing 'time,readers' header");
   }
   std::vector<Reading> readings;
@@ -111,13 +111,13 @@ Result<RSequence> ReadReadingsCsv(std::istream& is) {
                     static_cast<int>(reading.time)));
     }
     if (!parsed.ok()) {
-      RFID_STATS(obs::Add(obs::Counter::kIoRowsRejected));
+      obs::Add(obs::Counter::kIoRowsRejected);
       return parsed;
     }
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsParsed));
+    obs::Add(obs::Counter::kIoRowsParsed);
     readings.push_back(std::move(reading));
   }
-  RFID_TRACE(span.AddArg("rows", readings.size()));
+  span.AddArg("rows", readings.size());
   return RSequence::Create(std::move(readings));
 }
 
@@ -137,11 +137,11 @@ void WriteMultiTagReadingsCsv(const std::vector<TagReadings>& tags,
 
 Result<std::vector<TagReadings>> ReadMultiTagReadingsCsv(std::istream& is) {
   obs::PhaseTimer phase_timer(obs::Phase::kIoParse);
-  RFID_TRACE_SPAN(span, "io", "io_parse_readings_multi");
+  obs::TraceSpan span("io", "io_parse_readings_multi");
   std::string line;
   if (!std::getline(is, line) ||
       StripWhitespace(line) != kMultiTagReadingsHeader) {
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsRejected));
+    obs::Add(obs::Counter::kIoRowsRejected);
     return InvalidArgumentError("missing 'tag,time,readers' header");
   }
   // std::map: tags come out sorted by id, independent of row order.
@@ -152,7 +152,7 @@ Result<std::vector<TagReadings>> ReadMultiTagReadingsCsv(std::istream& is) {
   std::map<TagId, TagRows> by_tag;
   int line_number = 1;
   auto reject = [&](Status status) {
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsRejected));
+    obs::Add(obs::Counter::kIoRowsRejected);
     return status;
   };
   while (std::getline(is, line)) {
@@ -180,13 +180,13 @@ Result<std::vector<TagReadings>> ReadMultiTagReadingsCsv(std::istream& is) {
           StrFormat("line %d: duplicate time %d for tag %lld", line_number,
                     static_cast<int>(reading.time), tag)));
     }
-    RFID_STATS(obs::Add(obs::Counter::kIoRowsParsed));
+    obs::Add(obs::Counter::kIoRowsParsed);
     rows.readings.push_back(std::move(reading));
   }
   if (by_tag.empty()) {
     return InvalidArgumentError("multi-tag readings file has no data rows");
   }
-  RFID_TRACE(span.AddArg("tags", by_tag.size()));
+  span.AddArg("tags", by_tag.size());
   std::vector<TagReadings> tags;
   tags.reserve(by_tag.size());
   for (auto& [tag, rows] : by_tag) {

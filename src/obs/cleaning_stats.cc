@@ -2,9 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <mutex>
 
 #include "common/check.h"
 #include "common/strings.h"
+#include "obs/sink_registry.h"
 #include "obs/trace_export.h"
 
 namespace rfidclean::obs {
@@ -113,12 +115,21 @@ const char* DistName(Dist dist) {
 }
 
 CleaningStats CleaningStats::Capture() {
-  CleaningStats stats;
-  internal::SnapshotInto(stats.counters, stats.phase_millis, stats.dists);
+  internal::SinkRegistry& registry = internal::Registry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  CleaningStats stats = registry.retired_metrics;
+  for (const internal::ThreadSink* sink : registry.live) {
+    sink->metrics.FoldInto(&stats);
+  }
   return stats;
 }
 
-void CleaningStats::Reset() { internal::ResetAll(); }
+void CleaningStats::Reset() {
+  internal::SinkRegistry& registry = internal::Registry();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  registry.retired_metrics = CleaningStats{};
+  for (internal::ThreadSink* sink : registry.live) sink->metrics.Clear();
+}
 
 CleaningStats CleaningStats::DeltaSince(const CleaningStats& earlier) const {
   CleaningStats delta;
@@ -145,7 +156,6 @@ CleaningStats CleaningStats::DeltaSince(const CleaningStats& earlier) const {
 
 std::vector<std::string> CleaningStats::CheckInvariants() const {
   std::vector<std::string> violations;
-  if (!Enabled()) return violations;
   auto require = [&](bool ok, const std::string& message) {
     if (!ok) violations.push_back(message);
   };
@@ -206,7 +216,6 @@ std::vector<std::string> CleaningStats::CheckInvariants() const {
 }
 
 void TraceSampleCounterTracks() {
-#if RFIDCLEAN_STATS_ENABLED && RFIDCLEAN_TRACE_ENABLED
   if (!TraceActive()) return;
   const CleaningStats stats = CleaningStats::Capture();
   TraceCounter("forward_nodes", stats.Get(Counter::kForwardNodes));
@@ -215,7 +224,6 @@ void TraceSampleCounterTracks() {
                stats.Get(Counter::kBackwardEdgesKilled));
   TraceCounter("batch_tags_cleaned", stats.Get(Counter::kBatchTagsCleaned));
   TraceCounter("queue_steals", stats.Get(Counter::kQueueSteals));
-#endif
 }
 
 void CleaningStats::WriteJson(std::ostream& os, int indent,
@@ -224,8 +232,9 @@ void CleaningStats::WriteJson(std::ostream& os, int indent,
   const Indent pad{indent};
   const Indent inner{indent + 2};
   os << "{\n";
-  os << inner << "\"stats_enabled\": " << (Enabled() ? "true" : "false")
-     << ",\n";
+  // Always true since metrics are always compiled in; kept so the report
+  // shape stays stable for its readers.
+  os << inner << "\"stats_enabled\": true,\n";
   os << inner << "\"counters\": {\n";
   for (int i = 0; i < kNumCounters; ++i) {
     os << Indent{indent + 4} << '"'

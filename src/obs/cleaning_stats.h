@@ -24,8 +24,7 @@ struct CleaningStats {
   double phase_millis[kNumPhases] = {};
   HistogramData dists[kNumDists];
 
-  /// Sums every live + retired thread sink. All-zero when stats are
-  /// compiled out (RFIDCLEAN_STATS=OFF).
+  /// Sums every live + retired thread sink.
   static CleaningStats Capture();
 
   /// Zeroes all sinks so the next Capture() covers a fresh window.
@@ -46,8 +45,7 @@ struct CleaningStats {
 
   /// Checks the cross-counter invariants documented in ALGORITHM.md §9
   /// (e.g. edges_killed + edges_kept == edges_built). Returns one message
-  /// per violated invariant; empty means consistent. Always empty when
-  /// stats are compiled out.
+  /// per violated invariant; empty means consistent.
   std::vector<std::string> CheckInvariants() const;
 
   /// Serializes counters, phase times and histogram summaries as one JSON
@@ -62,8 +60,8 @@ struct CleaningStats {
 /// Samples a fixed subset of the pipeline counters into trace counter
 /// tracks (forward_nodes, forward_edges, backward_edges_killed,
 /// batch_tags_cleaned, queue_steals), one point per call. Called at phase
-/// boundaries (per cleaned tag, per build). No-op unless stats and tracing
-/// are both compiled in and a trace session is active.
+/// boundaries (per cleaned tag, per build). No-op unless a trace session is
+/// active.
 void TraceSampleCounterTracks();
 
 /// Snake-case stable identifier for each enumerator, used as the JSON key.

@@ -1,12 +1,16 @@
 #include "obs/explain.h"
 
+#include <algorithm>
+#include <mutex>
+#include <utility>
+
 #include "common/check.h"
+#include "obs/sink_registry.h"
 
 namespace rfidclean::obs {
 
-// Name tables live in every build mode: the store codec validates enum
-// ranges against them and the CLI prints them for persisted summaries even
-// when the recorder itself is compiled out.
+// The store codec validates enum ranges against these tables and the CLI
+// prints them for persisted summaries.
 const char* ExplainPhaseName(ExplainPhase phase) {
   switch (phase) {
     case ExplainPhase::kPreflight: return "preflight";
@@ -34,187 +38,72 @@ const char* ExplainConstraintName(ExplainConstraint constraint) {
   return "";
 }
 
-}  // namespace rfidclean::obs
-
-#if RFIDCLEAN_EXPLAIN_ENABLED
-
-#include <algorithm>
-#include <mutex>
-#include <utility>
-
-namespace rfidclean::obs {
-namespace {
-
-/// Per-thread event ring. Only its owning thread writes events; arming,
-/// collection and teardown touch it under the registry mutex while the
-/// owning thread is quiesced (same contract as the trace sinks).
-struct ExplainSink {
-  std::vector<ExplainEvent> ring;
-  std::size_t next = 0;       ///< write cursor
-  std::uint64_t written = 0;  ///< total events ever recorded
-
-  void Arm(std::size_t capacity) {
-    ring.assign(capacity, ExplainEvent{});
-    next = 0;
-    written = 0;
-  }
-
-  void Disarm() {
-    ring.clear();
-    ring.shrink_to_fit();
-    next = 0;
-    written = 0;
-  }
-
-  void Append(const ExplainEvent& event) {
-    if (ring.empty()) return;  // armed flag raced a stop; drop quietly
-    ring[next] = event;
-    ++next;
-    if (next == ring.size()) next = 0;
-    ++written;
-  }
-
-  std::uint64_t DroppedEvents() const {
-    return written > ring.size() ? written - ring.size() : 0;
-  }
-
-  /// Appends the ring's surviving events, oldest first, to `out`.
-  void LinearizeInto(std::vector<ExplainEvent>* out) const {
-    const std::size_t kept =
-        written < ring.size() ? static_cast<std::size_t>(written) : ring.size();
-    const std::size_t start = written > ring.size() ? next : 0;
-    for (std::size_t i = 0; i < kept; ++i) {
-      out->push_back(ring[(start + i) % ring.size()]);
-    }
-  }
-};
-
-/// Process-wide registry of live sinks plus the folded events of threads
-/// that exited mid-session, and the per-tag summaries.
-struct Registry {
-  std::mutex mutex;
-  std::vector<ExplainSink*> live;
-  std::vector<ExplainEvent> retired_events;
-  std::uint64_t retired_dropped = 0;
-  std::vector<ExplainTagSummary> tags;
-  ExplainOptions options;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives TLS dtors
-  return *registry;
-}
-
-/// Owns one thread's sink; constructor registers (arming the ring if a
-/// session is active), destructor folds surviving events into the retired
-/// stream and deregisters.
-struct ExplainSinkOwner {
-  ExplainSink sink;
-
-  ExplainSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    if (internal::ExplainArmedRelaxed()) {
-      sink.Arm(registry.options.buffer_events);
-    }
-    registry.live.push_back(&sink);
-  }
-
-  ~ExplainSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    if (internal::ExplainArmedRelaxed() && sink.written > 0) {
-      sink.LinearizeInto(&registry.retired_events);
-      registry.retired_dropped += sink.DroppedEvents();
-    }
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == &sink) {
-        registry.live[i] = registry.live.back();
-        registry.live.pop_back();
-        break;
-      }
-    }
-  }
-};
-
-ExplainSink& LocalSink() {
-  thread_local ExplainSinkOwner owner;
-  return owner.sink;
-}
-
-}  // namespace
-
 namespace internal {
 std::atomic<bool> g_explain_armed{false};
 }  // namespace internal
 
 void StartExplain(const ExplainOptions& options) {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.options = options;
-  if (registry.options.buffer_events < 8) registry.options.buffer_events = 8;
-  if (registry.options.top_edges < 1) registry.options.top_edges = 1;
-  registry.retired_events.clear();
-  registry.retired_dropped = 0;
-  registry.tags.clear();
-  for (ExplainSink* sink : registry.live) {
-    sink->Arm(registry.options.buffer_events);
+  ExplainOptions& session = registry.explain_options;
+  session = options;
+  if (session.buffer_events < 8) session.buffer_events = 8;
+  if (session.top_edges < 1) session.top_edges = 1;
+  registry.retired_explain.clear();
+  registry.retired_explain_dropped = 0;
+  registry.explain_tags.clear();
+  for (internal::ThreadSink* sink : registry.live) {
+    sink->explain.Arm(session.buffer_events);
   }
   internal::g_explain_armed.store(true, std::memory_order_release);
 }
 
 void StopExplain() {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   internal::g_explain_armed.store(false, std::memory_order_release);
-  registry.retired_events.clear();
-  registry.retired_dropped = 0;
-  registry.tags.clear();
-  for (ExplainSink* sink : registry.live) sink->Disarm();
+  registry.retired_explain.clear();
+  registry.retired_explain_dropped = 0;
+  registry.explain_tags.clear();
+  for (internal::ThreadSink* sink : registry.live) sink->explain.Disarm();
 }
 
 ExplainOptions ExplainSessionOptions() {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.options;
+  return registry.explain_options;
 }
 
 void RecordExplainEvent(const ExplainEvent& event) {
   if (!internal::ExplainArmedRelaxed()) return;
-  LocalSink().Append(event);
+  internal::LocalSink().explain.Append(event);
 }
 
 void RecordTagExplain(ExplainTagSummary summary) {
   if (!internal::ExplainArmedRelaxed()) return;
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.tags.push_back(std::move(summary));
+  registry.explain_tags.push_back(std::move(summary));
 }
 
-namespace {
-thread_local long long t_explain_tag = 0;
-}  // namespace
+void SetExplainTag(long long tag) { internal::LocalSink().explain_tag = tag; }
 
-void SetExplainTag(long long tag) { t_explain_tag = tag; }
-
-long long ExplainCurrentTag() { return t_explain_tag; }
+long long ExplainCurrentTag() { return internal::LocalSink().explain_tag; }
 
 ExplainCollection CollectExplain() {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   ExplainCollection collection;
-  collection.tags = registry.tags;
+  collection.tags = registry.explain_tags;
   std::sort(collection.tags.begin(), collection.tags.end(),
             [](const ExplainTagSummary& a, const ExplainTagSummary& b) {
               return a.tag < b.tag;
             });
-  collection.events = registry.retired_events;
-  collection.dropped_events = registry.retired_dropped;
-  for (const ExplainSink* sink : registry.live) {
-    if (sink->written > 0) {
-      sink->LinearizeInto(&collection.events);
-      collection.dropped_events += sink->DroppedEvents();
-    }
+  collection.events = registry.retired_explain;
+  collection.dropped_events = registry.retired_explain_dropped;
+  for (const internal::ThreadSink* sink : registry.live) {
+    sink->explain.LinearizeInto(&collection.events);
+    collection.dropped_events += sink->explain.DroppedEvents();
   }
   // Each tag is cleaned by exactly one worker, so grouping by tag while
   // preserving within-stream order makes the collection independent of the
@@ -227,5 +116,3 @@ ExplainCollection CollectExplain() {
 }
 
 }  // namespace rfidclean::obs
-
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED

@@ -23,36 +23,19 @@
 /// space, computed so the per-constraint masses plus the surviving source
 /// mass sum to 1 for every cleaned tag (docs/ALGORITHM.md §14).
 ///
-/// The recorder reuses the trace-sink architecture: per-thread event rings
-/// that only their owner writes, folded into a retired list on thread exit,
-/// armed/disarmed by a session-wide relaxed atomic. Per-tag summaries
-/// (assembled by the attribution pass in core/work_graph.cc and finalized
-/// by runtime/batch_cleaner) are appended under the registry mutex — one
-/// append per cleaned tag, never per edge.
+/// The recorder shares the per-thread sinks of the metric and trace layers
+/// (obs/sink_registry.h): event rings that only their owner writes, folded
+/// into a retired list on thread exit, armed/disarmed by a session-wide
+/// relaxed atomic. Per-tag summaries (assembled by the attribution pass in
+/// core/work_graph.cc and finalized by runtime/batch_cleaner) are appended
+/// under the registry mutex — one append per cleaned tag, never per edge.
 ///
-/// Configure with -DRFIDCLEAN_EXPLAIN=OFF to compile every probe to a
-/// no-op (the build defines RFIDCLEAN_EXPLAIN_OFF): no recorder symbols
-/// are emitted and cleaning output is byte-identical, exactly like
-/// RFIDCLEAN_STATS and RFIDCLEAN_TRACE. With the recorder compiled in but
-/// disarmed, every probe costs one relaxed load and a branch.
-///
-/// Statements that exist purely to feed the recorder are wrapped in
-/// RFID_EXPLAIN(...) so disabled builds drop them entirely:
-///
-///   RFID_EXPLAIN(obs::RecordExplainEvent(event));
-
-#if defined(RFIDCLEAN_EXPLAIN_OFF)
-#define RFIDCLEAN_EXPLAIN_ENABLED 0
-#define RFID_EXPLAIN(expr) ((void)0)
-#else
-#define RFIDCLEAN_EXPLAIN_ENABLED 1
-#define RFID_EXPLAIN(expr) expr
-#endif
+/// Recording never changes cleaning output. While disarmed, every probe
+/// costs one relaxed load and a branch.
 
 namespace rfidclean::obs {
 
-/// Explain-session configuration. Defined in all build modes so embedding
-/// hooks (BatchOptions::explain) keep a stable ABI.
+/// Explain-session configuration.
 struct ExplainOptions {
   /// When set on an embedding hook, the runtime starts an explain session
   /// with these options if none is active yet.
@@ -142,8 +125,7 @@ struct ExplainKilledEdge {
 
 /// Everything the explain layer knows about one cleaned tag. Assembled by
 /// the attribution pass (core/work_graph.cc), finalized with status and
-/// per-phase ppb splits, and appended via RecordTagExplain. Defined in all
-/// build modes so the store codec (store/explain_codec.h) keeps one ABI.
+/// per-phase ppb splits, and appended via RecordTagExplain.
 struct ExplainTagSummary {
   long long tag = 0;
   std::string status;  ///< "ok" or the failure status string
@@ -178,11 +160,6 @@ struct ExplainCollection {
     return nullptr;
   }
 };
-
-/// Whether this build can record explain decisions (compile-time constant).
-constexpr bool ExplainCompiledIn() { return RFIDCLEAN_EXPLAIN_ENABLED != 0; }
-
-#if RFIDCLEAN_EXPLAIN_ENABLED
 
 namespace internal {
 /// Session-armed flag; same memory-order contract as the tracer's.
@@ -229,22 +206,7 @@ long long ExplainCurrentTag();
 /// collection is deterministic for any worker count.
 ExplainCollection CollectExplain();
 
-#else  // !RFIDCLEAN_EXPLAIN_ENABLED
-
-inline void StartExplain(const ExplainOptions&) {}
-inline void StopExplain() {}
-inline bool ExplainArmed() { return false; }
-inline ExplainOptions ExplainSessionOptions() { return {}; }
-inline void RecordExplainEvent(const ExplainEvent&) {}
-inline void RecordTagExplain(ExplainTagSummary) {}
-inline void SetExplainTag(long long) {}
-inline long long ExplainCurrentTag() { return 0; }
-inline ExplainCollection CollectExplain() { return {}; }
-
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED
-
 /// Snake-case stable identifiers used by the JSON report and the CLI.
-/// Defined in all build modes (the store codec and CLI print them).
 const char* ExplainPhaseName(ExplainPhase phase);
 const char* ExplainConstraintName(ExplainConstraint constraint);
 

@@ -1,7 +1,5 @@
 #include "obs/explain_export.h"
 
-#if RFIDCLEAN_EXPLAIN_ENABLED
-
 #include <cstdint>
 #include <vector>
 
@@ -213,5 +211,3 @@ void WriteExplainReport(const ExplainCollection& collection, std::ostream& os,
 }
 
 }  // namespace rfidclean::obs
-
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED

@@ -19,20 +19,11 @@ namespace rfidclean::obs {
 /// Report schema version (the "explain_format_version" field).
 inline constexpr int kExplainFormatVersion = 1;
 
-#if RFIDCLEAN_EXPLAIN_ENABLED
-
 /// Writes `collection` as one JSON object, indented by `indent` spaces.
 /// Entries of the killed-candidate and top-edge arrays are one line each so
 /// the report stays greppable (`rfidclean explain --report` relies on it).
 void WriteExplainReport(const ExplainCollection& collection, std::ostream& os,
                         int indent = 0);
-
-#else
-
-inline void WriteExplainReport(const ExplainCollection&, std::ostream&,
-                               int = 0) {}
-
-#endif  // RFIDCLEAN_EXPLAIN_ENABLED
 
 }  // namespace rfidclean::obs
 

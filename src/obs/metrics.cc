@@ -1,126 +1,47 @@
 #include "obs/metrics.h"
 
-#if RFIDCLEAN_STATS_ENABLED
-
+#include <atomic>
 #include <bit>
-#include <mutex>
-#include <vector>
+
+#include "obs/sink_registry.h"
 
 namespace rfidclean::obs {
 namespace {
-
-/// Per-thread accumulation buffer. Only its owning thread writes it;
-/// Snapshot()/ResetAll() read and clear it under the registry mutex, so a
-/// snapshot taken while a thread is mid-increment may miss that increment
-/// but never tears state the tests rely on — callers quiesce their workers
-/// (BatchCleaner joins its pool) before reading totals.
-struct ThreadSink {
-  std::uint64_t counters[kNumCounters] = {};
-  double phase_millis[kNumPhases] = {};
-  HistogramData dists[kNumDists];
-
-  void FoldInto(std::uint64_t* counters_out, double* phases_out,
-                HistogramData* dists_out) const {
-    for (int i = 0; i < kNumCounters; ++i) counters_out[i] += counters[i];
-    for (int i = 0; i < kNumPhases; ++i) phases_out[i] += phase_millis[i];
-    for (int i = 0; i < kNumDists; ++i) dists_out[i].MergeFrom(dists[i]);
-  }
-
-  void Clear() {
-    for (std::uint64_t& c : counters) c = 0;
-    for (double& p : phase_millis) p = 0.0;
-    for (HistogramData& d : dists) d = HistogramData{};
-  }
-};
-
-/// Process-wide registry of live sinks plus the folded totals of sinks
-/// whose threads have exited (BatchCleaner workers are short-lived; their
-/// counts must outlive them).
-struct Registry {
-  std::mutex mutex;
-  std::vector<ThreadSink*> live;
-  ThreadSink retired;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives TLS dtors
-  return *registry;
-}
-
-/// Owns one thread's sink; constructor registers, destructor folds the
-/// final counts into `retired` and deregisters.
-struct ThreadSinkOwner {
-  ThreadSink sink;
-
-  ThreadSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.live.push_back(&sink);
-  }
-
-  ~ThreadSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    sink.FoldInto(registry.retired.counters, registry.retired.phase_millis,
-                  registry.retired.dists);
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == &sink) {
-        registry.live[i] = registry.live.back();
-        registry.live.pop_back();
-        break;
-      }
-    }
-  }
-};
-
-ThreadSink& LocalSink() {
-  thread_local ThreadSinkOwner owner;
-  return owner.sink;
-}
 
 int BucketOf(std::uint64_t value) {
   const int bucket = std::bit_width(value);  // 0 -> 0, v>0 -> floor(log2)+1
   return bucket < kHistogramBuckets ? bucket : kHistogramBuckets - 1;
 }
 
+/// Adds `n` to a cell of the calling thread's sink. The thread is the
+/// cell's only writer, so a relaxed load and store replace a locked
+/// read-modify-write.
+template <typename T>
+void Bump(std::atomic<T>& cell, T n) {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void Add(Counter counter, std::uint64_t n) {
-  LocalSink().counters[static_cast<int>(counter)] += n;
+  Bump(internal::LocalSink().metrics.counters[static_cast<int>(counter)], n);
 }
 
 void AddMillis(Phase phase, double millis) {
-  LocalSink().phase_millis[static_cast<int>(phase)] += millis;
+  Bump(internal::LocalSink().metrics.phase_millis[static_cast<int>(phase)],
+       millis);
 }
 
 void ObserveValue(Dist dist, std::uint64_t value) {
-  HistogramData& h = LocalSink().dists[static_cast<int>(dist)];
-  h.count += 1;
-  h.sum += value;
-  if (value > h.max) h.max = value;
-  h.buckets[BucketOf(value)] += 1;
-}
-
-namespace internal {
-
-void SnapshotInto(std::uint64_t* counters, double* phases,
-                  HistogramData* dists) {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired.FoldInto(counters, phases, dists);
-  for (const ThreadSink* sink : registry.live) {
-    sink->FoldInto(counters, phases, dists);
+  internal::LiveMetrics::Histogram& h =
+      internal::LocalSink().metrics.dists[static_cast<int>(dist)];
+  Bump(h.count, std::uint64_t{1});
+  Bump(h.sum, value);
+  if (value > h.max.load(std::memory_order_relaxed)) {
+    h.max.store(value, std::memory_order_relaxed);
   }
+  Bump(h.buckets[BucketOf(value)], std::uint64_t{1});
 }
 
-void ResetAll() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.retired.Clear();
-  for (ThreadSink* sink : registry.live) sink->Clear();
-}
-
-}  // namespace internal
 }  // namespace rfidclean::obs
-
-#endif  // RFIDCLEAN_STATS_ENABLED

@@ -9,31 +9,19 @@
 /// \file
 /// Low-overhead runtime metrics for the cleaning pipeline.
 ///
-/// Every instrumentation point increments a plain (non-atomic) counter in a
-/// thread-local sink; sinks register themselves in a process-wide registry
-/// and `Snapshot()` sums live sinks plus the folded totals of exited
-/// threads under one mutex, so the hot path never synchronizes. Hot loops
+/// Every instrumentation point increments a counter in a thread-local sink
+/// that only its thread writes (a relaxed atomic load and store, no locked
+/// read-modify-write); sinks register themselves in a process-wide
+/// registry and `CleaningStats::Capture()` sums live sinks plus the folded
+/// totals of exited threads under one mutex, so the hot path never
+/// synchronizes. Hot loops
 /// (per-edge, per-intern) accumulate in locals or in object members and
 /// flush once per layer or per build — a probe costs one or two register
-/// adds, never a TLS lookup per edge.
+/// adds, never a TLS lookup per edge. The probes only observe: results are
+/// bit-identical whether or not anyone reads the totals.
 ///
-/// Configure with -DRFIDCLEAN_STATS=OFF to compile every probe to a no-op
-/// (the build defines RFIDCLEAN_STATS_OFF); results are bit-identical
-/// either way, since the probes only observe.
-///
-/// Wrap statements that exist purely to feed a metric in RFID_STATS(...)
-/// so disabled builds drop them entirely:
-///
-///   RFID_STATS(obs::Add(obs::Counter::kForwardLayers));
-///   RFID_STATS(++probe_steps_);
-
-#if defined(RFIDCLEAN_STATS_OFF)
-#define RFIDCLEAN_STATS_ENABLED 0
-#define RFID_STATS(expr) ((void)0)
-#else
-#define RFIDCLEAN_STATS_ENABLED 1
-#define RFID_STATS(expr) expr
-#endif
+/// The thread sinks and their registry are shared with the trace and
+/// explain layers (obs/sink_registry.h).
 
 namespace rfidclean::obs {
 
@@ -149,8 +137,6 @@ struct HistogramData {
   }
 };
 
-#if RFIDCLEAN_STATS_ENABLED
-
 /// Records `n` occurrences of `counter` in the calling thread's sink.
 void Add(Counter counter, std::uint64_t n = 1);
 
@@ -160,50 +146,17 @@ void AddMillis(Phase phase, double millis);
 /// Records one sample of `dist`.
 void ObserveValue(Dist dist, std::uint64_t value);
 
-#else
-
-inline void Add(Counter, std::uint64_t = 1) {}
-inline void AddMillis(Phase, double) {}
-inline void ObserveValue(Dist, std::uint64_t) {}
-
-#endif  // RFIDCLEAN_STATS_ENABLED
-
-namespace internal {
-#if RFIDCLEAN_STATS_ENABLED
-/// Folds every live thread sink plus retired totals into the given arrays
-/// (sized kNumCounters / kNumPhases / kNumDists). Additive: callers zero
-/// the arrays first.
-void SnapshotInto(std::uint64_t* counters, double* phases,
-                  HistogramData* dists);
-/// Zeroes all live sinks and the retired totals.
-void ResetAll();
-#else
-inline void SnapshotInto(std::uint64_t*, double*, HistogramData*) {}
-inline void ResetAll() {}
-#endif
-}  // namespace internal
-
-/// Whether this build collects metrics (compile-time constant).
-constexpr bool Enabled() { return RFIDCLEAN_STATS_ENABLED != 0; }
-
 /// RAII phase timer: adds the scope's wall time to `phase` on destruction.
-/// Zero-state and free when stats are compiled out.
 class PhaseTimer {
  public:
-#if RFIDCLEAN_STATS_ENABLED
   explicit PhaseTimer(Phase phase) : phase_(phase) {}
   ~PhaseTimer() { AddMillis(phase_, watch_.ElapsedMillis()); }
-#else
-  explicit PhaseTimer(Phase) {}
-#endif
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
-#if RFIDCLEAN_STATS_ENABLED
  private:
   Phase phase_;
   Stopwatch watch_;
-#endif
 };
 
 }  // namespace rfidclean::obs

@@ -1,11 +1,11 @@
 #include "obs/trace.h"
 
-#if RFIDCLEAN_TRACE_ENABLED
-
 #include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <utility>
+
+#include "obs/sink_registry.h"
 
 namespace rfidclean::obs {
 namespace {
@@ -20,110 +20,6 @@ std::uint64_t SteadyNowNanos() {
 /// Session epoch (steady-clock nanos at StartTracing). Read without the
 /// registry lock on the hot path; written only while arming a session.
 std::atomic<std::uint64_t> g_epoch_nanos{0};
-
-/// Per-thread event ring. Only its owning thread writes events; arming,
-/// collection and teardown touch it under the registry mutex while the
-/// owning thread is quiesced (same contract as the metric sinks).
-struct TraceSink {
-  std::vector<TraceEvent> ring;
-  std::size_t next = 0;          ///< write cursor
-  std::uint64_t written = 0;     ///< total events ever recorded
-  int tid = 0;
-  std::string name;
-
-  void Arm(std::size_t capacity) {
-    ring.assign(capacity, TraceEvent{});
-    next = 0;
-    written = 0;
-  }
-
-  void Disarm() {
-    ring.clear();
-    ring.shrink_to_fit();
-    next = 0;
-    written = 0;
-  }
-
-  void Append(const TraceEvent& event) {
-    if (ring.empty()) return;  // armed flag raced a stop; drop quietly
-    ring[next] = event;
-    ++next;
-    if (next == ring.size()) next = 0;
-    ++written;
-  }
-
-  std::uint64_t DroppedEvents() const {
-    return written > ring.size() ? written - ring.size() : 0;
-  }
-
-  /// Oldest-first copy of the ring's surviving events.
-  TraceThread Linearize() const {
-    TraceThread thread;
-    thread.tid = tid;
-    thread.name = name;
-    thread.dropped_events = DroppedEvents();
-    const std::size_t kept =
-        written < ring.size() ? static_cast<std::size_t>(written) : ring.size();
-    thread.events.reserve(kept);
-    const std::size_t start = written > ring.size() ? next : 0;
-    for (std::size_t i = 0; i < kept; ++i) {
-      thread.events.push_back(ring[(start + i) % ring.size()]);
-    }
-    return thread;
-  }
-};
-
-/// Process-wide registry of live sinks plus linearized buffers of threads
-/// that exited mid-session (BatchCleaner workers are short-lived; their
-/// tracks must outlive them).
-struct Registry {
-  std::mutex mutex;
-  std::vector<TraceSink*> live;
-  std::vector<TraceThread> retired;
-  std::vector<TagProvenance> provenance;
-  TraceOptions options;
-  int next_tid = 0;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();  // leaked: outlives TLS dtors
-  return *registry;
-}
-
-/// Owns one thread's sink; constructor registers (arming the ring if a
-/// session is active), destructor folds surviving events into `retired`
-/// and deregisters.
-struct TraceSinkOwner {
-  TraceSink sink;
-
-  TraceSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    sink.tid = registry.next_tid++;
-    if (internal::TraceArmed()) sink.Arm(registry.options.buffer_events);
-    registry.live.push_back(&sink);
-  }
-
-  ~TraceSinkOwner() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    if (internal::TraceArmed() && sink.written > 0) {
-      registry.retired.push_back(sink.Linearize());
-    }
-    for (std::size_t i = 0; i < registry.live.size(); ++i) {
-      if (registry.live[i] == &sink) {
-        registry.live[i] = registry.live.back();
-        registry.live.pop_back();
-        break;
-      }
-    }
-  }
-};
-
-TraceSink& LocalSink() {
-  thread_local TraceSinkOwner owner;
-  return owner.sink;
-}
 
 std::uint64_t SessionNanos() {
   const std::uint64_t epoch = g_epoch_nanos.load(std::memory_order_relaxed);
@@ -148,7 +44,7 @@ namespace internal {
 std::atomic<bool> g_trace_armed{false};
 
 void EmitBegin(const char* category, const char* name) {
-  LocalSink().Append(MakeEvent(TraceEventType::kBegin, category, name));
+  LocalSink().trace.Append(MakeEvent(TraceEventType::kBegin, category, name));
 }
 
 void EmitEnd(const char* category, const char* name,
@@ -161,44 +57,46 @@ void EmitEnd(const char* category, const char* name,
     event.arg_names[i] = arg_names[i];
     event.arg_values[i] = arg_values[i];
   }
-  LocalSink().Append(event);
+  LocalSink().trace.Append(event);
 }
 
 }  // namespace internal
 
 void StartTracing(const TraceOptions& options) {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.options = options;
-  if (registry.options.buffer_events < 8) registry.options.buffer_events = 8;
-  registry.retired.clear();
+  registry.trace_options = options;
+  if (registry.trace_options.buffer_events < 8) {
+    registry.trace_options.buffer_events = 8;
+  }
+  registry.retired_trace.clear();
   registry.provenance.clear();
-  for (TraceSink* sink : registry.live) {
-    sink->Arm(registry.options.buffer_events);
+  for (internal::ThreadSink* sink : registry.live) {
+    sink->trace.Arm(registry.trace_options.buffer_events);
   }
   g_epoch_nanos.store(SteadyNowNanos(), std::memory_order_relaxed);
   internal::g_trace_armed.store(true, std::memory_order_release);
 }
 
 void StopTracing() {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   internal::g_trace_armed.store(false, std::memory_order_release);
-  registry.retired.clear();
+  registry.retired_trace.clear();
   registry.provenance.clear();
-  for (TraceSink* sink : registry.live) sink->Disarm();
+  for (internal::ThreadSink* sink : registry.live) sink->trace.Disarm();
 }
 
 bool TraceActive() { return internal::TraceArmed(); }
 
 TraceCollection CollectTrace() {
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   TraceCollection collection;
-  collection.threads = registry.retired;
-  for (const TraceSink* sink : registry.live) {
-    if (sink->written > 0 || !sink->name.empty()) {
-      collection.threads.push_back(sink->Linearize());
+  collection.threads = registry.retired_trace;
+  for (const internal::ThreadSink* sink : registry.live) {
+    if (sink->trace.written() > 0 || !sink->trace_name.empty()) {
+      collection.threads.push_back(sink->LinearizeTrace());
     }
   }
   std::sort(collection.threads.begin(), collection.threads.end(),
@@ -211,15 +109,16 @@ TraceCollection CollectTrace() {
 
 void SetTraceThreadName(const std::string& name) {
   if (!internal::TraceArmed()) return;
-  TraceSink& sink = LocalSink();
-  Registry& registry = GetRegistry();
+  internal::ThreadSink& sink = internal::LocalSink();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
-  sink.name = name;
+  sink.trace_name = name;
 }
 
 void TraceInstant(const char* category, const char* name) {
   if (!internal::TraceArmed()) return;
-  LocalSink().Append(MakeEvent(TraceEventType::kInstant, category, name));
+  internal::LocalSink().trace.Append(
+      MakeEvent(TraceEventType::kInstant, category, name));
 }
 
 void TraceInstant(const char* category, const char* name,
@@ -229,7 +128,7 @@ void TraceInstant(const char* category, const char* name,
   event.num_args = 1;
   event.arg_names[0] = arg_name;
   event.arg_values[0] = arg_value;
-  LocalSink().Append(event);
+  internal::LocalSink().trace.Append(event);
 }
 
 void TraceCounter(const char* name, std::uint64_t value) {
@@ -238,16 +137,14 @@ void TraceCounter(const char* name, std::uint64_t value) {
   event.num_args = 1;
   event.arg_names[0] = "value";
   event.arg_values[0] = value;
-  LocalSink().Append(event);
+  internal::LocalSink().trace.Append(event);
 }
 
 void RecordTagProvenance(TagProvenance provenance) {
   if (!internal::TraceArmed()) return;
-  Registry& registry = GetRegistry();
+  internal::SinkRegistry& registry = internal::Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   registry.provenance.push_back(std::move(provenance));
 }
 
 }  // namespace rfidclean::obs
-
-#endif  // RFIDCLEAN_TRACE_ENABLED

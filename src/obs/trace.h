@@ -15,8 +15,8 @@
 /// recording an event is a relaxed atomic load (armed?), one clock read and
 /// a few stores — no locks, no allocation. When the ring fills, the oldest
 /// events are overwritten and a dropped-events counter keeps the loss
-/// visible. Sinks register in the same fold-on-thread-exit registry pattern
-/// as the metric sinks (obs/metrics.h): a worker that exits folds its
+/// visible. The rings live in the per-thread sinks shared with the metric
+/// and explain layers (obs/sink_registry.h): a worker that exits folds its
 /// buffer into a retired list so short-lived BatchCleaner workers keep
 /// their tracks.
 ///
@@ -26,40 +26,21 @@
 /// the traced workers are quiesced (BatchCleaner joins its pool before
 /// returning).
 ///
-/// Configure with -DRFIDCLEAN_TRACE=OFF to compile every probe to a no-op
-/// (the build defines RFIDCLEAN_TRACE_OFF), exactly like RFIDCLEAN_STATS:
-/// cleaning results are bit-identical either way. With tracing compiled in
-/// but not started, every probe costs one relaxed load and a branch.
+/// Tracing never changes cleaning results. While no session is started,
+/// every probe costs one relaxed load and a branch. Spans are RAII scopes:
 ///
-/// Spans are RAII scopes opened with the RFID_TRACE_SPAN macro; statements
-/// that exist purely to feed the tracer are wrapped in RFID_TRACE(...) so
-/// disabled builds drop them entirely:
-///
-///   RFID_TRACE_SPAN(span, "forward", "forward_layer");
-///   RFID_TRACE(span.AddArg("width", width));
+///   obs::TraceSpan span("forward", "forward_layer");
+///   span.AddArg("width", width);
 ///
 /// Event names, categories and argument names must be string literals (or
 /// otherwise outlive the trace session): the ring stores the pointers.
-
-#if defined(RFIDCLEAN_TRACE_OFF)
-#define RFIDCLEAN_TRACE_ENABLED 0
-#define RFID_TRACE(expr) ((void)0)
-#define RFID_TRACE_SPAN(var, category, name) \
-  [[maybe_unused]] ::rfidclean::obs::TraceSpan var
-#else
-#define RFIDCLEAN_TRACE_ENABLED 1
-#define RFID_TRACE(expr) expr
-#define RFID_TRACE_SPAN(var, category, name) \
-  ::rfidclean::obs::TraceSpan var((category), (name))
-#endif
 
 namespace rfidclean::obs {
 
 /// Maximum key/value arguments attached to one trace event.
 inline constexpr int kMaxTraceArgs = 4;
 
-/// Tracing configuration. Defined in all build modes so embedding hooks
-/// (BatchOptions::trace) keep a stable ABI.
+/// Tracing configuration.
 struct TraceOptions {
   /// When set on an embedding hook (e.g. BatchOptions::trace), the runtime
   /// starts tracing with these options if no session is active yet.
@@ -128,11 +109,6 @@ struct TraceCollection {
     return n;
   }
 };
-
-/// Whether this build can trace at all (compile-time constant).
-constexpr bool TraceCompiledIn() { return RFIDCLEAN_TRACE_ENABLED != 0; }
-
-#if RFIDCLEAN_TRACE_ENABLED
 
 namespace internal {
 /// Session-armed flag. Relaxed is sufficient: arming happens-before any
@@ -217,31 +193,6 @@ class TraceSpan {
   const char* arg_names_[kMaxTraceArgs] = {};
   std::uint64_t arg_values_[kMaxTraceArgs] = {};
 };
-
-#else  // !RFIDCLEAN_TRACE_ENABLED
-
-inline void StartTracing(const TraceOptions&) {}
-inline void StopTracing() {}
-inline bool TraceActive() { return false; }
-inline TraceCollection CollectTrace() { return {}; }
-inline void SetTraceThreadName(const std::string&) {}
-inline void TraceInstant(const char*, const char*) {}
-inline void TraceInstant(const char*, const char*, const char*,
-                         std::uint64_t) {}
-inline void TraceCounter(const char*, std::uint64_t) {}
-inline void RecordTagProvenance(TagProvenance) {}
-
-/// Zero-state stand-in so unwrapped `span.AddArg(...)` calls still compile
-/// in trace-off builds (the RFID_TRACE_SPAN macro declares one of these).
-class TraceSpan {
- public:
-  constexpr TraceSpan() = default;
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  void AddArg(const char*, std::uint64_t) {}
-};
-
-#endif  // RFIDCLEAN_TRACE_ENABLED
 
 }  // namespace rfidclean::obs
 

@@ -64,8 +64,6 @@ void WriteProvenanceJson(const std::vector<TagProvenance>& provenance,
   os << pad << "]";
 }
 
-#if RFIDCLEAN_TRACE_ENABLED
-
 namespace {
 
 const char* PhOf(TraceEventType type) {
@@ -134,7 +132,5 @@ void WriteChromeTrace(const TraceCollection& collection, std::ostream& os) {
   WriteProvenanceJson(collection.provenance, os, 2);
   os << "\n}\n";
 }
-
-#endif  // RFIDCLEAN_TRACE_ENABLED
 
 }  // namespace rfidclean::obs

@@ -17,24 +17,15 @@ namespace rfidclean::obs {
 
 /// Serializes `provenance` as a JSON array of per-tag records (digests as
 /// 16-digit hex strings, durations as milliseconds). Each line is indented
-/// by `indent` spaces. Available in all build modes so --stats embedding
-/// does not depend on the trace configuration.
+/// by `indent` spaces.
 void WriteProvenanceJson(const std::vector<TagProvenance>& provenance,
                          std::ostream& os, int indent);
-
-#if RFIDCLEAN_TRACE_ENABLED
 
 /// Writes `collection` as Chrome trace-event JSON: thread-name metadata
 /// events, then every buffered event with pid/tid/ts (microseconds since
 /// the session epoch)/cat/args, then `otherData` (tool, dropped-event
 /// total) and the per-tag `provenance` array.
 void WriteChromeTrace(const TraceCollection& collection, std::ostream& os);
-
-#else
-
-inline void WriteChromeTrace(const TraceCollection&, std::ostream&) {}
-
-#endif  // RFIDCLEAN_TRACE_ENABLED
 
 }  // namespace rfidclean::obs
 

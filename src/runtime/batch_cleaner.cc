@@ -19,7 +19,6 @@ namespace rfidclean {
 
 namespace {
 
-#if RFIDCLEAN_STATS_ENABLED
 /// Maps a tag outcome status onto its taxonomy counter. Internal errors
 /// never reach here (exceptions are boxed in run_worker, which counts them
 /// itself).
@@ -34,7 +33,6 @@ obs::Counter OutcomeCounter(const Result<CtGraph>& graph) {
       return obs::Counter::kBatchTagsInvalidArgument;
   }
 }
-#endif
 
 /// Cleans one workload with the worker's recycled capacity hints. All
 /// error messages are deterministic functions of the workload, so outcomes
@@ -45,11 +43,11 @@ TagOutcome CleanOne(const SuccessorGenerator& successors,
                     std::size_t index, runtime::WorkerArena* arena,
                     ThreadPool* pool, std::uint64_t constraint_digest) {
   obs::PhaseTimer phase_timer(obs::Phase::kTagClean);
-  RFID_STATS(const Stopwatch tag_watch);
+  const Stopwatch tag_watch;
   // Every kill decision and summary recorded while this workload cleans —
   // by the preflight, the forward engine, or the conditioning pass —
   // carries this tag; outcomes for other paths (doomed, push failure) are
-  // attributed below. No-op symbol in explain-off builds.
+  // attributed below.
   obs::SetExplainTag(static_cast<long long>(workload.tag));
   BuildStats stats;
   // Which explain coverage the clean reached: doomed tags are summarized
@@ -95,7 +93,6 @@ TagOutcome CleanOne(const SuccessorGenerator& successors,
     explain_covered = true;  // Finish's conditioning records the summary.
     return std::move(cleaner).Finish(&stats);
   }();
-#if RFIDCLEAN_EXPLAIN_ENABLED
   if (obs::ExplainArmed() && !graph.ok() && !explain_covered) {
     // The clean died before conditioning (empty stream or a Push left no
     // consistent interpretation): record the outcome so the report lists
@@ -105,16 +102,11 @@ TagOutcome CleanOne(const SuccessorGenerator& successors,
     summary.status = graph.status().message();
     obs::RecordTagExplain(std::move(summary));
   }
-#else
-  (void)explain_covered;
-#endif
   if (graph.ok()) arena->Observe(stats, workload.sequence.length());
-#if RFIDCLEAN_STATS_ENABLED
   obs::Add(OutcomeCounter(graph));
   obs::ObserveValue(
       obs::Dist::kTagMicros,
       static_cast<std::uint64_t>(tag_watch.ElapsedMillis() * 1000.0));
-#endif
   if (obs::TraceActive()) {
     // Graph digesting is a full structural walk — only worth it when a
     // trace session is recording the provenance.
@@ -148,26 +140,24 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
   if (options_.trace.enabled && !obs::TraceActive()) {
     obs::StartTracing(options_.trace);
   }
-#if RFIDCLEAN_EXPLAIN_ENABLED
   if (options_.explain.enabled && !obs::ExplainArmed()) {
     obs::StartExplain(options_.explain);
   }
-#endif
-  RFID_TRACE_SPAN(batch_span, "batch", "batch_clean_all");
-  RFID_TRACE(batch_span.AddArg("tags", workloads.size()));
+  obs::TraceSpan batch_span("batch", "batch_clean_all");
+  batch_span.AddArg("tags", workloads.size());
   std::vector<std::optional<TagOutcome>> slots(workloads.size());
   if (!workloads.empty()) {
     const std::size_t num_workers =
         std::min(static_cast<std::size_t>(options_.jobs), workloads.size());
-    RFID_TRACE(batch_span.AddArg("workers", num_workers));
+    batch_span.AddArg("workers", num_workers);
     runtime::ShardQueue queue(workloads.size(), num_workers);
 
     // Each worker owns slot writes for the shards it pops (shards are
     // handed out exactly once), so no synchronization beyond the queue and
     // the final joins is needed.
     auto run_worker = [&](std::size_t worker) {
-      RFID_TRACE(obs::SetTraceThreadName(StrFormat("worker-%d",
-                                                   static_cast<int>(worker))));
+      obs::SetTraceThreadName(
+          StrFormat("worker-%d", static_cast<int>(worker)));
       runtime::WorkerArena arena;
       // Worker-private lanes for intra-tag layer parallelism; byte-identity
       // across forward_threads values rests on the engine's Phase A/B
@@ -181,19 +171,17 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
         // Counted per popped shard (not inside CleanOne) so that every
         // shard gets exactly one provision count and one outcome count,
         // whichever path — success, error status, or throw — it takes.
-        RFID_STATS(obs::Add(arena.tick_hint() > 0
-                                ? obs::Counter::kBatchArenaReuses
-                                : obs::Counter::kBatchArenaColdStarts));
+        obs::Add(arena.tick_hint() > 0 ? obs::Counter::kBatchArenaReuses
+                                       : obs::Counter::kBatchArenaColdStarts);
         // Outside the tag span: whether this worker's arena had hints is a
         // scheduling artifact, and tag_clean subtrees must stay identical
         // across job counts (tests/obs_trace_test.cc).
-        RFID_TRACE(obs::TraceInstant(
-            "batch", "arena_prepare", "reused",
-            static_cast<std::uint64_t>(arena.tick_hint() > 0)));
+        obs::TraceInstant("batch", "arena_prepare", "reused",
+                          static_cast<std::uint64_t>(arena.tick_hint() > 0));
         {
-          RFID_TRACE_SPAN(tag_span, "batch", "tag_clean");
-          RFID_TRACE(tag_span.AddArg(
-              "tag", static_cast<std::uint64_t>(workloads[shard].tag)));
+          obs::TraceSpan tag_span("batch", "tag_clean");
+          tag_span.AddArg("tag",
+                          static_cast<std::uint64_t>(workloads[shard].tag));
           try {
             if (options_.before_tag) options_.before_tag(shard);
             slots[shard].emplace(CleanOne(
@@ -201,7 +189,7 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
                 workloads[shard], options_, shard, &arena,
                 pool.has_value() ? &*pool : nullptr, constraint_digest_));
           } catch (const std::exception& e) {
-            RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
+            obs::Add(obs::Counter::kBatchTagsInternalError);
             slots[shard].emplace(TagOutcome{
                 workloads[shard].tag,
                 InternalError(StrFormat(
@@ -209,7 +197,7 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
                     static_cast<long long>(workloads[shard].tag), e.what())),
                 BuildStats{}});
           } catch (...) {
-            RFID_STATS(obs::Add(obs::Counter::kBatchTagsInternalError));
+            obs::Add(obs::Counter::kBatchTagsInternalError);
             slots[shard].emplace(TagOutcome{
                 workloads[shard].tag,
                 InternalError(StrFormat(
@@ -217,12 +205,12 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
                     static_cast<long long>(workloads[shard].tag))),
                 BuildStats{}});
           }
-          RFID_TRACE(tag_span.AddArg(
-              "ok", static_cast<std::uint64_t>(slots[shard]->graph.ok())));
+          tag_span.AddArg("ok",
+                          static_cast<std::uint64_t>(slots[shard]->graph.ok()));
         }
         // Counter tracks sample global snapshots, which depend on what the
         // other workers have finished — also outside the tag span.
-        RFID_TRACE(obs::TraceSampleCounterTracks());
+        obs::TraceSampleCounterTracks();
       }
     };
 

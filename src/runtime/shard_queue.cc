@@ -28,7 +28,7 @@ bool ShardQueue::Pop(std::size_t worker, std::size_t* shard) {
       *shard = own.shards.front();
       own.shards.pop_front();
       own.approx_size.store(own.shards.size(), std::memory_order_relaxed);
-      RFID_STATS(obs::Add(obs::Counter::kQueuePopsLocal));
+      obs::Add(obs::Counter::kQueuePopsLocal);
       return true;
     }
   }
@@ -57,9 +57,9 @@ bool ShardQueue::Pop(std::size_t worker, std::size_t* shard) {
     *shard = lane.shards.back();
     lane.shards.pop_back();
     lane.approx_size.store(lane.shards.size(), std::memory_order_relaxed);
-    RFID_STATS(obs::Add(obs::Counter::kQueueSteals));
-    RFID_TRACE(obs::TraceInstant("batch", "steal", "victim",
-                                 static_cast<std::uint64_t>(victim)));
+    obs::Add(obs::Counter::kQueueSteals);
+    obs::TraceInstant("batch", "steal", "victim",
+                      static_cast<std::uint64_t>(victim));
     return true;
   }
 }

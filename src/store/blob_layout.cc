@@ -19,7 +19,7 @@ Status BlobError(const char* what, const std::string& detail) {
 
 Status CrcError(const char* region, std::uint32_t stored,
                 std::uint32_t computed) {
-  RFID_STATS(obs::Add(obs::Counter::kStoreCrcFailures));
+  obs::Add(obs::Counter::kStoreCrcFailures);
   return InvalidArgumentError(
       StrFormat("ct-graph blob: %s checksum mismatch (stored %08x, computed "
                 "%08x)",
@@ -365,7 +365,7 @@ Result<ParsedBlob> ParseAndVerifyBlob(const unsigned char* data,
 Result<BlobContents> ParseBlobContents(const unsigned char* data,
                                        std::size_t size,
                                        SectionChecks checks) {
-  RFID_STATS(obs::PhaseTimer timer(obs::Phase::kStoreDecode));
+  obs::PhaseTimer timer(obs::Phase::kStoreDecode);
   BlobContents contents;
   RFID_ASSIGN_OR_RETURN(contents.parsed,
                         ParseAndVerifyBlob(data, size, checks));
@@ -428,8 +428,8 @@ Result<BlobContents> ParseBlobContents(const unsigned char* data,
   RFID_RETURN_IF_ERROR(DecodeKeys(blob, &contents));
   RFID_ASSIGN_OR_RETURN(contents.edge_targets, DecodeEdgeTargets(contents));
 
-  RFID_STATS(obs::Add(obs::Counter::kStoreBlobsDecoded));
-  RFID_STATS(obs::Add(obs::Counter::kStoreBytesDecoded, size));
+  obs::Add(obs::Counter::kStoreBlobsDecoded);
+  obs::Add(obs::Counter::kStoreBytesDecoded, size);
   return contents;
 }
 

@@ -95,7 +95,7 @@ Result<CtStoreReader> CtStoreReader::Open(const std::string& path) {
   const std::uint32_t stored_crc = LoadU32(data + kStoreHeaderBytes - 4);
   const std::uint32_t computed_crc = Crc32(data, kStoreHeaderBytes - 4);
   if (stored_crc != computed_crc) {
-    RFID_STATS(obs::Add(obs::Counter::kStoreCrcFailures));
+    obs::Add(obs::Counter::kStoreCrcFailures);
     return StoreError(path,
                       StrFormat("header checksum mismatch (stored %08x, "
                                 "computed %08x)",
@@ -129,7 +129,7 @@ Result<CtStoreReader> CtStoreReader::Open(const std::string& path) {
   const std::uint32_t index_crc =
       Crc32(index, static_cast<std::size_t>(header.index_size));
   if (index_crc != header.index_crc) {
-    RFID_STATS(obs::Add(obs::Counter::kStoreCrcFailures));
+    obs::Add(obs::Counter::kStoreCrcFailures);
     return StoreError(path,
                       StrFormat("index checksum mismatch (stored %08x, "
                                 "computed %08x)",
@@ -294,7 +294,7 @@ Status CtStoreReader::VerifyAll() const {
     const std::uint32_t crc =
         Crc32(blob, static_cast<std::size_t>(entry.size));
     if (crc != entry.blob_crc) {
-      RFID_STATS(obs::Add(obs::Counter::kStoreCrcFailures));
+      obs::Add(obs::Counter::kStoreCrcFailures);
       return InvalidArgumentError(
           StrFormat("tag %lld: check index-crc: whole-blob checksum "
                     "mismatch (stored %08x, computed %08x)",
@@ -323,7 +323,7 @@ Status CtStoreReader::VerifyAll() const {
     const std::uint32_t crc =
         Crc32(blob, static_cast<std::size_t>(entry.size));
     if (crc != entry.blob_crc) {
-      RFID_STATS(obs::Add(obs::Counter::kStoreCrcFailures));
+      obs::Add(obs::Counter::kStoreCrcFailures);
       return InvalidArgumentError(
           StrFormat("tag %lld: check explain-crc: whole-blob checksum "
                     "mismatch (stored %08x, computed %08x)",

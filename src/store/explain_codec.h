@@ -39,10 +39,6 @@
 ///   per top edge:   {i32 time, i32 from, i32 to, u32 phase,
 ///                    u32 constraint, f64 mass}
 ///   u32      CRC-32 of every preceding byte
-///
-/// Compiled in every build mode: the summary struct is part of the stable
-/// ABI, so an explain-off binary still decodes and prints summaries a
-/// previous explain-enabled run persisted.
 
 namespace rfidclean::store {
 

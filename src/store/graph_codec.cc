@@ -75,7 +75,7 @@ void EncodeKeys(const CtGraph& graph, std::string* out) {
 
 std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
                               const GraphProvenance& provenance) {
-  RFID_STATS(obs::PhaseTimer timer(obs::Phase::kStoreEncode));
+  obs::PhaseTimer timer(obs::Phase::kStoreEncode);
   RFID_CHECK_GT(graph.length(), 0);
   if (!IsLayerOrdered(graph)) {
     return EncodeCtGraphBlob(Canonicalize(graph), tag, provenance);
@@ -161,8 +161,8 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
   PutU32(&crc_bytes, header_crc);
   blob.replace(kBlobHeaderBytes - 4, 4, crc_bytes);
 
-  RFID_STATS(obs::Add(obs::Counter::kStoreBlobsEncoded));
-  RFID_STATS(obs::Add(obs::Counter::kStoreBytesEncoded, blob.size()));
+  obs::Add(obs::Counter::kStoreBlobsEncoded);
+  obs::Add(obs::Counter::kStoreBytesEncoded, blob.size());
   return blob;
 }
 

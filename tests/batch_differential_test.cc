@@ -184,7 +184,6 @@ TEST_P(BatchDifferentialTest, ParallelEqualsSequentialBitForBit) {
 }
 
 TEST_P(BatchDifferentialTest, ExplainReportIsWorkerCountInvariant) {
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // Attribution rides the same differential battery: on random workloads
   // (dead tags included) the exported explain report must be byte-identical
   // at every worker count, or scheduling has leaked into the lineage.

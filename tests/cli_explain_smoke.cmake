@@ -3,7 +3,7 @@
 # `explain` subcommand must answer decode-mode and re-clean-mode queries,
 # the report must be byte-identical across worker counts, and an armed
 # session must not perturb the cleaned graph. Invoked by ctest as
-#   cmake -DCLI=<binary> -DWORK_DIR=<scratch> -DEXPLAIN_ENABLED=<ON|OFF>
+#   cmake -DCLI=<binary> -DWORK_DIR=<scratch>
 #         [-DPYTHON=<python3> -DCHECKER=<check_explain_report.py>]
 #         -P cli_explain_smoke.cmake
 
@@ -43,19 +43,6 @@ endfunction()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
-
-if(NOT EXPLAIN_ENABLED)
-  # Explain-off builds must reject the probes with clear diagnostics, never
-  # silently produce empty attribution.
-  run_step(${CLI} generate --floors 2 --duration 30 --seed 5
-           --out ${WORK_DIR})
-  expect_fail("--explain requires an explain-enabled build"
-              ${CLI} clean --dir ${WORK_DIR} --explain)
-  expect_fail("explain --dir requires an explain-enabled build"
-              ${CLI} explain --dir ${WORK_DIR})
-  message(STATUS "cli explain smoke test passed (explain compiled out)")
-  return()
-endif()
 
 # --- Single-tag: explicit report path; the armed session must not change
 # the cleaned graph. ---

@@ -1,9 +1,7 @@
 # Smoke test of the rfidclean_cli workflow: generate -> clean -> stay ->
 # pattern -> sample, each step checked for a zero exit code and the files it
 # promises. Invoked by ctest as
-#   cmake -DCLI=<path-to-binary> -DWORK_DIR=<scratch>
-#         -DTRACE_ENABLED=<ON|OFF> -DEXPLAIN_ENABLED=<ON|OFF>
-#         -P cli_smoke.cmake
+#   cmake -DCLI=<path-to-binary> -DWORK_DIR=<scratch> -P cli_smoke.cmake
 
 function(run_step)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE code
@@ -120,36 +118,27 @@ endif()
 # for writability before any cleaning work, and each leaves a well-formed
 # artifact behind when the clean itself fails (--stats/--explain an error
 # stub, --trace the timeline of the failure).
-if(TRACE_ENABLED)
-  expect_fail("cannot write trace file"
-              ${CLI} clean --dir ${WORK_DIR}
-              --trace=${WORK_DIR}/no-such-subdir/trace.json)
+expect_fail("cannot write trace file"
+            ${CLI} clean --dir ${WORK_DIR}
+            --trace=${WORK_DIR}/no-such-subdir/trace.json)
+expect_fail("cannot write explain file"
+            ${CLI} clean --dir ${WORK_DIR}
+            --explain=${WORK_DIR}/no-such-subdir/explain.json)
+execute_process(COMMAND ${CLI} clean --dir ${WORK_DIR}/does-not-exist
+                --explain=${WORK_DIR}/failed_explain.json
+                RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+if(code EQUAL 0)
+  message(FATAL_ERROR "clean on a missing directory should fail")
 endif()
-if(EXPLAIN_ENABLED)
-  expect_fail("cannot write explain file"
-              ${CLI} clean --dir ${WORK_DIR}
-              --explain=${WORK_DIR}/no-such-subdir/explain.json)
-  execute_process(COMMAND ${CLI} clean --dir ${WORK_DIR}/does-not-exist
-                  --explain=${WORK_DIR}/failed_explain.json
-                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
-  if(code EQUAL 0)
-    message(FATAL_ERROR "clean on a missing directory should fail")
-  endif()
-  if(NOT EXISTS ${WORK_DIR}/failed_explain.json)
-    message(FATAL_ERROR "failed clean removed the explain file entirely")
-  endif()
-  file(READ ${WORK_DIR}/failed_explain.json stub_payload)
-  string(FIND "${stub_payload}" "\"status\": \"error\"" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR
-            "failed clean left an explain file without the error stub: "
-            "'${stub_payload}'")
-  endif()
-else()
-  # Explain-off builds must reject the flag with a clear diagnostic rather
-  # than silently writing an empty report.
-  expect_fail("--explain requires an explain-enabled build"
-              ${CLI} clean --dir ${WORK_DIR} --explain)
+if(NOT EXISTS ${WORK_DIR}/failed_explain.json)
+  message(FATAL_ERROR "failed clean removed the explain file entirely")
+endif()
+file(READ ${WORK_DIR}/failed_explain.json stub_payload)
+string(FIND "${stub_payload}" "\"status\": \"error\"" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR
+          "failed clean left an explain file without the error stub: "
+          "'${stub_payload}'")
 endif()
 
 message(STATUS "cli smoke test passed")

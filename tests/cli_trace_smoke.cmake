@@ -2,7 +2,7 @@
 # Chrome trace-event JSON with the documented spans, the provenance block
 # must reach both the trace and --stats JSON, and malformed flag values must
 # be diagnosed up front. Invoked by ctest as
-#   cmake -DCLI=<binary> -DWORK_DIR=<scratch> -DTRACE_ENABLED=<ON|OFF>
+#   cmake -DCLI=<binary> -DWORK_DIR=<scratch>
 #         [-DPYTHON=<python3> -DCHECKER=<check_trace_events.py>]
 #         -P cli_trace_smoke.cmake
 
@@ -39,17 +39,6 @@ endfunction()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
-
-if(NOT TRACE_ENABLED)
-  # Trace-off builds must reject the flag with a clear diagnostic instead of
-  # silently writing an empty trace.
-  run_step(${CLI} generate --floors 2 --duration 30 --seed 5
-           --out ${WORK_DIR})
-  expect_fail("--trace requires a tracing-enabled build"
-              ${CLI} clean --dir ${WORK_DIR} --trace)
-  message(STATUS "cli trace smoke test passed (trace compiled out)")
-  return()
-endif()
 
 # --- Single-tag: explicit trace path, stats with embedded provenance. ---
 run_step(${CLI} generate --floors 2 --duration 80 --seed 5 --out ${WORK_DIR})

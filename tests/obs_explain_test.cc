@@ -76,23 +76,7 @@ obs::ExplainTagSummary ExplainOneClean(const ConstraintSet& constraints,
   return std::move(collection.tags[0]);
 }
 
-TEST(ExplainTest, DisabledBuildCollectsNothing) {
-  if (obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled in";
-  obs::ExplainOptions options;
-  options.enabled = true;
-  obs::StartExplain(options);
-  EXPECT_FALSE(obs::ExplainArmed());
-  ConstraintSet constraints = PaperExampleConstraints();
-  CtGraphBuilder builder(constraints);
-  ASSERT_TRUE(builder.Build(PaperExampleSequence()).ok());
-  const obs::ExplainCollection collection = obs::CollectExplain();
-  EXPECT_TRUE(collection.tags.empty());
-  EXPECT_TRUE(collection.events.empty());
-  obs::StopExplain();
-}
-
 TEST(ExplainTest, PaperExampleNamesTheExactKillSet) {
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // The running example admits exactly one valid trajectory, L1 L3 L3, so
   // conditioning must kill precisely the other three candidates — no more,
   // no fewer — and the attribution must say so by (time, location).
@@ -135,7 +119,6 @@ TEST(ExplainTest, PaperExampleNamesTheExactKillSet) {
 }
 
 TEST(ExplainTest, MassConservesOnGeneratedWorkloads) {
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // On realistic generated data every cleaned tag's attribution must
   // account for the whole a-priori interpretation space: root-cause kill
   // masses plus surviving source mass sum to 1.
@@ -181,7 +164,6 @@ TEST(ExplainTest, ArmedSessionDoesNotPerturbTheGraph) {
 }
 
 TEST(ExplainTest, PreflightShiftsPhaseLabelsButNotTheKillSet) {
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // Candidate 3 at t=1 is statically dead (no admissible successor into
   // t=2), so preflight prunes it before the build while the preflight-off
   // clean discovers the same death dynamically. Attribution must agree on
@@ -219,7 +201,6 @@ TEST(ExplainTest, PreflightShiftsPhaseLabelsButNotTheKillSet) {
 }
 
 TEST(ExplainTest, DoomedTagRecordsAFailureSummary) {
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // A workload the constraints rule out entirely still gets a summary, so
   // the report explains failed cleans too.
   ConstraintSet constraints(2);
@@ -252,7 +233,6 @@ TEST(ExplainTest, DoomedTagRecordsAFailureSummary) {
 }
 
 TEST(ExplainTest, ReportIsByteIdenticalAcrossWorkerCounts) {
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // The JSON report is part of the deterministic contract: the same
   // workloads must export the same bytes whether one worker cleaned them
   // or eight did.

@@ -49,18 +49,7 @@ LSequence UniformTwoLocationSequence(Timestamp length) {
   return MakeLSequence(std::move(spec));
 }
 
-TEST(CleaningStatsTest, DisabledBuildCapturesAllZeros) {
-  if (obs::Enabled()) GTEST_SKIP() << "stats compiled in";
-  ConstraintSet constraints = PaperExampleConstraints();
-  CtGraphBuilder builder(constraints);
-  ASSERT_TRUE(builder.Build(PaperExampleSequence()).ok());
-  const obs::CleaningStats stats = obs::CleaningStats::Capture();
-  for (int i = 0; i < obs::kNumCounters; ++i) EXPECT_EQ(stats.counters[i], 0u);
-  EXPECT_TRUE(stats.CheckInvariants().empty());
-}
-
 TEST(CleaningStatsTest, HandCountableWorkloadYieldsExactCounters) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   const Timestamp kTicks = 6;
   ConstraintSet constraints(2);
   CtGraphBuilder builder(constraints);
@@ -100,7 +89,6 @@ TEST(CleaningStatsTest, HandCountableWorkloadYieldsExactCounters) {
 }
 
 TEST(CleaningStatsTest, CountersMatchBuildStats) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   ConstraintSet constraints = PaperExampleConstraints();
   CtGraphBuilder builder(constraints);
   obs::CleaningStats::Reset();
@@ -126,7 +114,6 @@ TEST(CleaningStatsTest, CountersMatchBuildStats) {
 }
 
 TEST(CleaningStatsTest, CountersMatchWorkGraphAuditor) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   ConstraintSet constraints = PaperExampleConstraints();
   LSequence sequence = PaperExampleSequence();
   SuccessorGenerator successors(constraints);
@@ -150,7 +137,6 @@ TEST(CleaningStatsTest, CountersMatchWorkGraphAuditor) {
 }
 
 TEST(CleaningStatsTest, IdenticalRunsProduceIdenticalCounters) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   ConstraintSet constraints = PaperExampleConstraints();
   CtGraphBuilder builder(constraints);
   obs::CleaningStats::Reset();
@@ -178,7 +164,6 @@ TEST(CleaningStatsTest, InstrumentationDoesNotPerturbTheGraph) {
 }
 
 TEST(CleaningStatsTest, ResetZeroesEveryCounter) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   ConstraintSet constraints = PaperExampleConstraints();
   CtGraphBuilder builder(constraints);
   ASSERT_TRUE(builder.Build(PaperExampleSequence()).ok());
@@ -194,7 +179,6 @@ TEST(CleaningStatsTest, ResetZeroesEveryCounter) {
 }
 
 TEST(CleaningStatsTest, BatchCountersAggregateAcrossWorkerThreads) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   // 16 cleanable tags, one dead tag, one empty stream, across 4 workers:
   // the thread-local sinks (folded when each worker exits) must sum to the
   // full taxonomy, and the queue/arena provisioning counters must cover
@@ -235,7 +219,6 @@ TEST(CleaningStatsTest, BatchCountersAggregateAcrossWorkerThreads) {
 }
 
 TEST(CleaningStatsTest, ThrowingTagStillBalancesTheTaxonomy) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   ConstraintSet constraints(2);
   BatchOptions options;
   options.jobs = 2;
@@ -261,7 +244,6 @@ TEST(CleaningStatsTest, ThrowingTagStillBalancesTheTaxonomy) {
 }
 
 TEST(CleaningStatsTest, DeltaSinceIsolatesAWindow) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   ConstraintSet constraints = PaperExampleConstraints();
   CtGraphBuilder builder(constraints);
   obs::CleaningStats::Reset();
@@ -278,7 +260,6 @@ TEST(CleaningStatsTest, DeltaSinceIsolatesAWindow) {
 }
 
 TEST(CleaningStatsTest, CaptureResetDeltaRoundTripAcrossThreads) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
   // Delta windows are how long-running embedders meter individual batches
   // out of the cumulative process-wide counters. Two back-to-back identical
   // batch runs on 4 workers: the delta between their captures must be
@@ -341,8 +322,6 @@ TEST(CleaningStatsTest, CaptureResetDeltaRoundTripAcrossThreads) {
 }
 
 TEST(CleaningStatsTest, PerPhaseMassLossCountersReconcileWithExplain) {
-  if (!obs::Enabled()) GTEST_SKIP() << "stats compiled out";
-  if (!obs::ExplainCompiledIn()) GTEST_SKIP() << "explain compiled out";
   // The stats layer meters conditioning loss as two per-phase ppb counters
   // (backward sweep vs compaction of stranded source mass). The explain
   // report derives the same split independently from the attribution pass;

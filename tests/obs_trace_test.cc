@@ -17,6 +17,8 @@
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
 #include "model/lsequence.h"
+#include "obs/cleaning_stats.h"
+#include "obs/explain.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "runtime/batch_cleaner.h"
@@ -26,11 +28,11 @@
 namespace rfidclean {
 namespace {
 
+using ::rfidclean::testing::kL2;
+using ::rfidclean::testing::kL3;
 using ::rfidclean::testing::MakeLSequence;
 using ::rfidclean::testing::PaperExampleConstraints;
 using ::rfidclean::testing::PaperExampleSequence;
-
-#if RFIDCLEAN_TRACE_ENABLED
 
 /// One reconstructed span (or instant leaf) from a thread's event stream.
 struct SpanNode {
@@ -252,8 +254,8 @@ TEST_F(ObsTraceTest, BufferCapacityIsClampedToMinimum) {
 TEST_F(ObsTraceTest, NoEventsRecordedWithoutSession) {
   ASSERT_FALSE(obs::TraceActive());
   {
-    RFID_TRACE_SPAN(span, "test", "orphan");
-    RFID_TRACE(span.AddArg("x", 1));
+    obs::TraceSpan span("test", "orphan");
+    span.AddArg("x", 1);
     obs::TraceInstant("test", "orphan_instant");
   }
   EXPECT_EQ(obs::CollectTrace().NumEvents(), 0u);
@@ -263,7 +265,7 @@ TEST_F(ObsTraceTest, SpanLatchesArmedStateAtConstruction) {
   // A span that opens before StartTracing must not emit a dangling 'E'
   // into the new session.
   {
-    RFID_TRACE_SPAN(span, "test", "pre_session");
+    obs::TraceSpan span("test", "pre_session");
     obs::TraceOptions options;
     options.enabled = true;
     obs::StartTracing(options);
@@ -389,25 +391,103 @@ TEST_F(ObsTraceTest, ProvenanceJsonEscapesAndFormats) {
   EXPECT_EQ(empty.str(), "[]");
 }
 
-#else  // !RFIDCLEAN_TRACE_ENABLED
-
-TEST(ObsTraceTest, CompiledOutBuildIsInert) {
-  EXPECT_FALSE(obs::TraceCompiledIn());
-  EXPECT_FALSE(obs::TraceActive());
-  obs::StartTracing(obs::TraceOptions{});
-  {
-    RFID_TRACE_SPAN(span, "test", "noop");
-    RFID_TRACE(span.AddArg("x", 1));
+/// Every `tag_clean` subtree of `forest`, at any depth.
+void FindTagCleans(const std::vector<SpanNode>& forest,
+                   std::vector<const SpanNode*>* out) {
+  for (const SpanNode& node : forest) {
+    if (node.name == "tag_clean") out->push_back(&node);
+    FindTagCleans(node.children, out);
   }
-  EXPECT_FALSE(obs::TraceActive());
-  EXPECT_EQ(obs::CollectTrace().NumEvents(), 0u);
 }
 
-#endif  // RFIDCLEAN_TRACE_ENABLED
+/// forward_sources + forward_layer spans in `node`'s subtree.
+std::uint64_t CountForwardSpans(const SpanNode& node) {
+  std::uint64_t count =
+      node.name == "forward_sources" || node.name == "forward_layer" ? 1 : 0;
+  for (const SpanNode& child : node.children) {
+    count += CountForwardSpans(child);
+  }
+  return count;
+}
+
+// The three layers record one batch run independently, so they must agree
+// on it: the tracer's tag_clean spans, the metrics' per-outcome tag
+// counters and the explain report's tag summaries each count every
+// workload exactly once, at any worker count. Inside the successful tags,
+// every forward layer the metrics count is one forward span. The failing
+// tags (doomed by the preflight, or rejected as empty) never reach the
+// forward phase, so the layer identity covers the whole run.
+TEST(ObsCrossLayerTest, StatsTraceAndExplainCountTheSameRun) {
+  const ConstraintSet constraints = PaperExampleConstraints();
+  std::vector<TagWorkload> workloads;
+  for (TagId tag = 1; tag <= 6; ++tag) {
+    workloads.push_back(TagWorkload{tag, PaperExampleSequence()});
+  }
+  // L2 -> L3 is unreachable, so the preflight dooms this tag.
+  workloads.push_back(
+      TagWorkload{7, MakeLSequence({{{kL2, 1.0}}, {{kL3, 1.0}}})});
+  workloads.push_back(TagWorkload{8, LSequence()});  // rejected up front
+
+  for (int jobs : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+    obs::CleaningStats::Reset();
+    obs::StartTracing(obs::TraceOptions{});
+    obs::ExplainOptions explain_options;
+    explain_options.enabled = true;
+    obs::StartExplain(explain_options);
+    BatchOptions options;
+    options.jobs = jobs;
+    const std::vector<TagOutcome> outcomes =
+        BatchCleaner(constraints, options).CleanAll(workloads);
+    const obs::CleaningStats stats = obs::CleaningStats::Capture();
+    const obs::TraceCollection trace = obs::CollectTrace();
+    const obs::ExplainCollection explain = obs::CollectExplain();
+    obs::StopExplain();
+    obs::StopTracing();
+
+    ASSERT_EQ(outcomes.size(), workloads.size());
+    ASSERT_EQ(trace.DroppedEvents(), 0u);
+    std::uint64_t tag_spans = 0;
+    std::uint64_t success_forward_spans = 0;
+    std::uint64_t failure_forward_spans = 0;
+    for (const obs::TraceThread& thread : trace.threads) {
+      const std::vector<SpanNode> forest = BuildSpanForest(thread);
+      std::vector<const SpanNode*> tag_cleans;
+      FindTagCleans(forest, &tag_cleans);
+      for (const SpanNode* tag_clean : tag_cleans) {
+        ++tag_spans;
+        (ArgValue(*tag_clean, "ok") != 0 ? success_forward_spans
+                                         : failure_forward_spans) +=
+            CountForwardSpans(*tag_clean);
+      }
+    }
+    const std::uint64_t outcome_counters =
+        stats.Get(obs::Counter::kBatchTagsCleaned) +
+        stats.Get(obs::Counter::kBatchTagsFailedPrecondition) +
+        stats.Get(obs::Counter::kBatchTagsInvalidArgument) +
+        stats.Get(obs::Counter::kBatchTagsInternalError);
+    std::uint64_t ok_summaries = 0;
+    for (const obs::ExplainTagSummary& summary : explain.tags) {
+      ok_summaries += summary.status == "ok" ? 1 : 0;
+    }
+
+    EXPECT_EQ(tag_spans, workloads.size());
+    EXPECT_EQ(outcome_counters, workloads.size());
+    EXPECT_EQ(explain.tags.size(), workloads.size());
+    EXPECT_EQ(stats.Get(obs::Counter::kBatchTagsCleaned), 6u);
+    EXPECT_EQ(stats.Get(obs::Counter::kPreflightTagsDoomed), 1u);
+    EXPECT_EQ(ok_summaries, stats.Get(obs::Counter::kBatchTagsCleaned));
+    EXPECT_EQ(failure_forward_spans, 0u);
+    EXPECT_EQ(success_forward_spans,
+              stats.Get(obs::Counter::kForwardLayers));
+    EXPECT_GT(success_forward_spans, 0u);
+    EXPECT_TRUE(stats.CheckInvariants().empty());
+  }
+}
 
 // Digest helpers back the trace provenance records; they must be stable
 // across runs, sensitive to content and (for constraint sets) independent
-// of insertion order. Compiled in all build modes.
+// of insertion order.
 
 TEST(TraceDigestTest, LSequenceDigestIsContentSensitive) {
   const LSequence a = PaperExampleSequence();

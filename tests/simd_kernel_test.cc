@@ -236,7 +236,7 @@ TEST(ScanProbeGroupTest, RandomizedAgreementWithScalarReference) {
 }
 
 TEST(SimdDispatchTest, ForceScalarToggles) {
-  if (!CompiledIn()) {
+  if (!VectorKernelsBuilt()) {
     EXPECT_FALSE(VectorKernelsActive());
     return;
   }

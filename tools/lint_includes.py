@@ -16,6 +16,15 @@ examples/):
     RFIDCLEAN_TESTS_TEST_UTIL_H_). The trailing #endif must carry the
     guard name as a comment.
 
+ 3. No header under src/ may branch (`#if`/`#ifdef`/`#ifndef`/`#elif`) on
+    an RFIDCLEAN_* build-configuration macro. Build options reach the
+    library through directory-scoped add_compile_definitions, which do not
+    reach an out-of-tree consumer that includes the headers (perfbench/
+    add_subdirectory()s the repo), so such a branch gives that consumer a
+    different class layout or inline body than the library it links -- an
+    ODR violation. Configuration branches belong in .cc files. Include
+    guards (names ending in _H_) are exempt.
+
 Exit status 0 when clean, 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths are resolved against the repo root
 (the parent of this script's directory), or pass --root.
@@ -33,6 +42,8 @@ SCANNED_DIRS = ("src", "tools", "tests", "bench", "examples")
 ASSERT_BANNED_DIRS = ("src", "tools")
 
 ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
+CONDITIONAL_RE = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b(.*)$")
+CONFIG_MACRO_RE = re.compile(r"\bRFIDCLEAN_\w+")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 
 
@@ -103,6 +114,22 @@ def check_include_guard(path: Path, relpath: Path, lines) -> list:
     return findings
 
 
+def check_config_branches(path: Path, relpath: Path, lines) -> list:
+    findings = []
+    for lineno, line in enumerate(lines, start=1):
+        match = CONDITIONAL_RE.match(LINE_COMMENT_RE.sub("", line))
+        if not match:
+            continue
+        for macro in CONFIG_MACRO_RE.findall(match.group(1)):
+            if macro.endswith("_H_"):
+                continue  # include guard
+            findings.append(
+                f"{relpath}:{lineno}: header branches on build-configuration "
+                f"macro {macro}; add_compile_definitions does not reach "
+                "out-of-tree consumers, so move the branch into a .cc file")
+    return findings
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -127,6 +154,8 @@ def main() -> int:
                 findings += check_asserts(path, relpath, lines)
             if path.suffix in (".h", ".hpp"):
                 findings += check_include_guard(path, relpath, lines)
+                if top == "src":
+                    findings += check_config_branches(path, relpath, lines)
 
     for finding in findings:
         print(finding)

@@ -55,6 +55,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -167,41 +168,84 @@ int Fail(const char* message) {
   return 1;
 }
 
-/// Resolved `--stats[=FILE]` request: nullopt when the flag is absent; an
-/// empty path means "print to stdout" (the bare `--stats` form).
-std::optional<std::string> StatsPath(const Args& args) {
-  if (!args.Has("stats")) return std::nullopt;
-  const std::string value = args.Get("stats", "");
-  if (value == "1") return std::string();
-  return value;
+/// Writes one JSON report (plus its trailing newline) to `path` through
+/// `write` and checks the stream. Returns 0, or 1 after a
+/// "cannot write <what> file PATH" diagnostic.
+int WriteReportFile(const std::string& path, const char* what,
+                    const std::function<void(std::ostream&)>& write) {
+  const std::string failure =
+      StrFormat("cannot write %s file %s", what, path.c_str());
+  std::ofstream os(path);
+  if (!os) return Fail(failure.c_str());
+  write(os);
+  os << '\n';
+  return os.good() ? 0 : Fail(failure.c_str());
 }
 
-/// Resolved `--trace[=FILE]` request: nullopt when the flag is absent; the
-/// bare `--trace` form writes DIR/trace.json. Unlike --stats there is no
-/// stdout mode — the clean's own report goes there.
-std::optional<std::string> TracePath(const Args& args, const std::string& dir) {
-  if (!args.Has("trace")) return std::nullopt;
-  const std::string value = args.Get("trace", "");
-  if (value == "1") return dir + "/trace.json";
-  return value;
-}
+/// One `--stats`/`--trace`/`--explain` report of `clean`, from flag to
+/// file: resolves `--FLAG[=FILE]` (the bare form writes `bare_path`; an
+/// empty `bare_path` gives the flag a stdout mode, which only --stats
+/// has), probes the file before any cleaning work, writes the report with
+/// a checked export, and leaves a `{"status": "error"}` stub when the clean
+/// fails before the report is written, so a consumer polling the file
+/// never mistakes the probe's empty file for an interrupted write.
+class ReportFlag {
+ public:
+  ReportFlag(const Args& args, const char* flag, std::string bare_path)
+      : flag_(flag) {
+    if (!args.Has(flag)) return;
+    const bool has_stdout_mode = bare_path.empty();
+    const std::string value = args.Get(flag, "");
+    path_ = value == "1" ? std::move(bare_path) : value;
+    to_stdout_ = has_stdout_mode && path_->empty();
+  }
 
-/// Resolved `--explain[=FILE]` request; the bare form writes
-/// DIR/explain.json. Same contract as --trace: no stdout mode.
-std::optional<std::string> ExplainPath(const Args& args,
-                                       const std::string& dir) {
-  if (!args.Has("explain")) return std::nullopt;
-  const std::string value = args.Get("explain", "");
-  if (value == "1") return dir + "/explain.json";
-  return value;
-}
+  bool requested() const { return path_.has_value(); }
+  const std::string& path() const { return *path_; }
 
-/// Writes the process-wide pipeline metrics as JSON to `path` (stdout when
-/// empty). Invariant violations are diagnostics, not failures: the stats
-/// must never turn a successful clean into an error. When a trace session
-/// is active, the per-tag provenance records collected so far are embedded
-/// as a "provenance" array.
-int EmitStats(const std::string& path) {
+  /// Creates the report file up front: discovering an unwritable path
+  /// after minutes of batch cleaning would discard the run.
+  int Probe() const {
+    if (!requested() || to_stdout_) return 0;
+    std::ofstream probe(*path_);
+    if (probe) return 0;
+    return Fail(StrFormat("cannot write %s file %s", flag_, path_->c_str())
+                    .c_str());
+  }
+
+  /// Writes the report; returns non-zero after a diagnostic.
+  int Write(const std::function<void(std::ostream&)>& write) {
+    if (to_stdout_) {
+      write(std::cout);
+      std::cout << '\n';
+    } else if (WriteReportFile(*path_, flag_, write) != 0) {
+      return 1;
+    }
+    written_ = true;
+    return 0;
+  }
+
+  /// For a failed clean: replaces the probe's empty file with the error
+  /// stub unless the report was already written.
+  void StubIfUnwritten() const {
+    if (!requested() || to_stdout_ || written_) return;
+    std::ofstream os(*path_);
+    if (os) os << "{\"status\": \"error\"}\n";
+  }
+
+ private:
+  const char* flag_;
+  std::optional<std::string> path_;
+  bool to_stdout_ = false;
+  bool written_ = false;
+};
+
+/// Writes the process-wide pipeline metrics as JSON. Invariant violations
+/// are diagnostics, not failures: the stats must never turn a successful
+/// clean into an error. When a trace session is active, the per-tag
+/// provenance records collected so far are embedded as a "provenance"
+/// array.
+int EmitStats(ReportFlag* report) {
   const obs::CleaningStats stats = obs::CleaningStats::Capture();
   for (const std::string& violation : stats.CheckInvariants()) {
     std::fprintf(stderr, "stats invariant violated: %s\n", violation.c_str());
@@ -209,63 +253,44 @@ int EmitStats(const std::string& path) {
   std::vector<obs::TagProvenance> provenance;
   const bool tracing = obs::TraceActive();
   if (tracing) provenance = obs::CollectTrace().provenance;
-  const std::vector<obs::TagProvenance>* embedded =
-      tracing ? &provenance : nullptr;
-  if (path.empty()) {
-    stats.WriteJson(std::cout, 0, embedded);
-    std::cout << '\n';
-    return 0;
-  }
-  std::ofstream os(path);
-  if (!os) return Fail(("cannot write stats file " + path).c_str());
-  stats.WriteJson(os, 0, embedded);
-  os << '\n';
-  return os.good() ? 0 : Fail(("cannot write stats file " + path).c_str());
-}
-
-/// Replaces the zero-byte file left by a report flag's writability probe
-/// (--stats=FILE, --explain=FILE) with an explicit error object when the
-/// clean fails before the report is emitted, so a consumer polling the file
-/// sees `{"status": "error"}` rather than truncated output it might mistake
-/// for an interrupted write.
-void WriteReportErrorStub(const std::string& path) {
-  std::ofstream os(path);
-  if (os) os << "{\"status\": \"error\"}\n";
+  return report->Write([&](std::ostream& os) {
+    stats.WriteJson(os, 0, tracing ? &provenance : nullptr);
+  });
 }
 
 /// Exports the active explain session as the versioned JSON report
 /// (obs/explain_export.h). Called only after a clean that got far enough to
 /// record attribution; earlier failures leave the error stub instead.
-int ExportExplain(const std::string& path) {
+int ExportExplain(ReportFlag* report) {
   const obs::ExplainCollection collection = obs::CollectExplain();
-  std::ofstream os(path);
-  if (!os) return Fail(("cannot write explain file " + path).c_str());
-  WriteExplainReport(collection, os);
-  os << '\n';
-  if (!os.good()) return Fail(("cannot write explain file " + path).c_str());
+  if (report->Write([&](std::ostream& os) {
+        WriteExplainReport(collection, os);
+      }) != 0) {
+    return 1;
+  }
   std::fprintf(stderr,
                "explain: %zu tags, %zu events (%llu dropped) -> %s\n",
                collection.tags.size(), collection.events.size(),
                static_cast<unsigned long long>(collection.dropped_events),
-               path.c_str());
+               report->path().c_str());
   return 0;
 }
 
 /// Exports the active trace session as Chrome trace-event JSON. Called on
 /// both success and failure exits: a trace of a failed clean is exactly
 /// what the flag was passed for.
-int ExportTrace(const std::string& path) {
+int ExportTrace(ReportFlag* report) {
   const obs::TraceCollection collection = obs::CollectTrace();
-  std::ofstream os(path);
-  if (!os) return Fail(("cannot write trace file " + path).c_str());
-  WriteChromeTrace(collection, os);
-  os << '\n';
-  if (!os.good()) return Fail(("cannot write trace file " + path).c_str());
+  if (report->Write([&](std::ostream& os) {
+        WriteChromeTrace(collection, os);
+      }) != 0) {
+    return 1;
+  }
   std::fprintf(stderr,
                "trace: %zu events on %zu tracks (%llu dropped) -> %s\n",
                collection.NumEvents(), collection.threads.size(),
                static_cast<unsigned long long>(collection.DroppedEvents()),
-               path.c_str());
+               report->path().c_str());
   return 0;
 }
 
@@ -418,19 +443,26 @@ Result<ConstraintSet> MakeCliConstraints(const Args& args,
   return InferConstraints(building, walking, inference);
 }
 
-/// Observability requests threaded through the clean paths. The *_written
-/// flags record whether each report was emitted, so the failure path can
-/// distinguish "never got there" (write the error stub) from "already
-/// emitted".
+/// Observability requests threaded through the clean paths.
 struct CleanObs {
-  std::optional<std::string> stats_path;
-  std::optional<std::string> trace_path;
-  std::optional<std::string> explain_path;
-  obs::TraceOptions trace;
-  obs::ExplainOptions explain;
-  bool stats_written = false;
-  bool explain_written = false;
+  ReportFlag stats;
+  ReportFlag trace;
+  ReportFlag explain;
+  obs::TraceOptions trace_options;
 };
+
+/// Writes the --stats and --explain reports a clean requested.
+int EmitCleanReports(CleanObs* observability) {
+  if (observability->stats.requested() &&
+      EmitStats(&observability->stats) != 0) {
+    return 1;
+  }
+  if (observability->explain.requested() &&
+      ExportExplain(&observability->explain) != 0) {
+    return 1;
+  }
+  return 0;
+}
 
 /// Persists every per-tag explain summary of the active session into the
 /// store the graphs just went to, so `rfidclean explain --store` can answer
@@ -477,7 +509,7 @@ int CleanBatch(const std::string& dir, const Building& building,
   // The CLI already started the session (so the io spans above are on the
   // timeline); passing the options through exercises the embedding hook,
   // which leaves an active session untouched.
-  options.trace = observability->trace;
+  options.trace = observability->trace_options;
   BatchCleaner cleaner(constraints, options);
   Stopwatch watch;
   std::vector<TagOutcome> outcomes = cleaner.CleanAll(workloads);
@@ -509,7 +541,7 @@ int CleanBatch(const std::string& dir, const Building& building,
     }
     nodes += outcome.graph.value().NumNodes();
     if (writer.has_value()) {
-      RFID_TRACE_SPAN(span, "store", "store_append");
+      obs::TraceSpan span("store", "store_append");
       store::GraphProvenance provenance;
       provenance.input_digest = workloads[i].sequence.Digest();
       provenance.constraint_digest = constraint_digest;
@@ -543,16 +575,9 @@ int CleanBatch(const std::string& dir, const Building& building,
       nodes,
       store_path.empty() ? (dir + "/graph_<tag>.ctg").c_str()
                          : store_path.c_str());
-  if (observability->stats_path.has_value()) {
-    if (EmitStats(*observability->stats_path) != 0) return 1;
-    observability->stats_written = true;
-  }
-  if (observability->explain_path.has_value()) {
-    // Exported even with per-tag failures: the report carries the failed
-    // tags' outcome summaries, which is what the flag is for.
-    if (ExportExplain(*observability->explain_path) != 0) return 1;
-    observability->explain_written = true;
-  }
+  // The explain report is exported even with per-tag failures: it carries
+  // the failed tags' outcome summaries, which is what the flag is for.
+  if (EmitCleanReports(observability) != 0) return 1;
   return failures == 0 ? 0 : 1;
 }
 
@@ -630,7 +655,7 @@ int CleanImpl(const Args& args, const std::string& dir,
     std::printf("%s\n", AuditGraph(graph.value()).ToString().c_str());
   }
   if (!store_path.empty()) {
-    RFID_TRACE_SPAN(span, "store", "store_append");
+    obs::TraceSpan span("store", "store_append");
     Result<store::CtStoreWriter> writer =
         store::CtStoreWriter::OpenOrCreate(store_path);
     if (!writer.ok()) return Fail(writer.status());
@@ -665,101 +690,58 @@ int CleanImpl(const Args& args, const std::string& dir,
       graph.value().NumEdges(),
       store_path.empty() ? (dir + "/graph.ctg").c_str()
                          : store_path.c_str());
-  if (observability->stats_path.has_value()) {
-    if (EmitStats(*observability->stats_path) != 0) return 1;
-    observability->stats_written = true;
-  }
-  if (observability->explain_path.has_value()) {
-    if (ExportExplain(*observability->explain_path) != 0) return 1;
-    observability->explain_written = true;
-  }
-  return 0;
+  return EmitCleanReports(observability);
 }
 
 int Clean(const Args& args) {
   const std::string dir = args.Get("dir", ".");
-  CleanObs observability;
-  observability.stats_path = StatsPath(args);
-  observability.trace_path = TracePath(args, dir);
-  observability.explain_path = ExplainPath(args, dir);
-  if (observability.stats_path.has_value() &&
-      !observability.stats_path->empty()) {
-    // Fail before any cleaning work: discovering an unwritable stats path
-    // after minutes of batch cleaning would discard the run.
-    std::ofstream probe(*observability.stats_path);
-    if (!probe) {
-      return Fail(
-          ("cannot write stats file " + *observability.stats_path).c_str());
-    }
-  }
-  if (observability.trace_path.has_value()) {
-    if (!obs::TraceCompiledIn()) {
-      return Fail(
-          "--trace requires a tracing-enabled build (this binary was "
-          "configured with -DRFIDCLEAN_TRACE=OFF)");
-    }
+  CleanObs observability{ReportFlag(args, "stats", ""),
+                         ReportFlag(args, "trace", dir + "/trace.json"),
+                         ReportFlag(args, "explain", dir + "/explain.json"),
+                         obs::TraceOptions()};
+  if (observability.stats.Probe() != 0) return 1;
+  if (observability.trace.requested()) {
     const std::optional<int> buffer_events =
         args.GetStrictInt("trace-buffer-events",
                           static_cast<int>(obs::TraceOptions().buffer_events));
     if (!buffer_events.has_value() || *buffer_events < 1) {
       return Fail("--trace-buffer-events must be a positive integer");
     }
-    std::ofstream probe(*observability.trace_path);
-    if (!probe) {
-      return Fail(
-          ("cannot write trace file " + *observability.trace_path).c_str());
-    }
-    observability.trace.enabled = true;
-    observability.trace.buffer_events =
+    if (observability.trace.Probe() != 0) return 1;
+    observability.trace_options.enabled = true;
+    observability.trace_options.buffer_events =
         static_cast<std::size_t>(*buffer_events);
     // Started here rather than in BatchCleaner so the io parsing spans land
     // on the same timeline as the cleaning itself.
-    obs::StartTracing(observability.trace);
+    obs::StartTracing(observability.trace_options);
   }
-  if (observability.explain_path.has_value()) {
-    if (!obs::ExplainCompiledIn()) {
-      return Fail(
-          "--explain requires an explain-enabled build (this binary was "
-          "configured with -DRFIDCLEAN_EXPLAIN=OFF)");
-    }
+  if (observability.explain.requested()) {
+    obs::ExplainOptions explain;
+    explain.enabled = true;
     const std::optional<int> top_edges = args.GetStrictInt(
-        "explain-top-edges",
-        static_cast<int>(obs::ExplainOptions().top_edges));
+        "explain-top-edges", static_cast<int>(explain.top_edges));
     if (!top_edges.has_value() || *top_edges < 1) {
       return Fail("--explain-top-edges must be a positive integer");
     }
-    // Same up-front probe as --stats/--trace: discovering an unwritable
-    // report path after a long batch clean would discard the attribution.
-    std::ofstream probe(*observability.explain_path);
-    if (!probe) {
-      return Fail(("cannot write explain file " +
-                   *observability.explain_path).c_str());
-    }
-    observability.explain.enabled = true;
-    observability.explain.top_edges =
-        static_cast<std::size_t>(*top_edges);
-    obs::StartExplain(observability.explain);
+    if (observability.explain.Probe() != 0) return 1;
+    explain.top_edges = static_cast<std::size_t>(*top_edges);
+    obs::StartExplain(explain);
   }
 
   int code = CleanImpl(args, dir, &observability);
 
-  if (observability.trace_path.has_value()) {
+  if (observability.trace.requested()) {
     // Exported on failure too — a timeline of a failed clean is precisely
     // what --trace is for. An export failure degrades a successful exit.
-    const int exported = ExportTrace(*observability.trace_path);
+    const int exported = ExportTrace(&observability.trace);
     if (code == 0) code = exported;
     obs::StopTracing();
   }
-  if (code != 0 && observability.stats_path.has_value() &&
-      !observability.stats_path->empty() && !observability.stats_written) {
-    WriteReportErrorStub(*observability.stats_path);
+  if (code != 0) {
+    observability.stats.StubIfUnwritten();
+    observability.explain.StubIfUnwritten();
   }
-  if (observability.explain_path.has_value()) {
-    if (code != 0 && !observability.explain_written) {
-      WriteReportErrorStub(*observability.explain_path);
-    }
-    obs::StopExplain();
-  }
+  if (observability.explain.requested()) obs::StopExplain();
   return code;
 }
 
@@ -805,12 +787,10 @@ int CheckConstraints(const Args& args) {
               report.ToString().c_str());
 
   const std::string json = args.Get("json", "");
-  if (!json.empty()) {
-    std::ofstream os(json);
-    if (!os) return Fail(("cannot write json file " + json).c_str());
-    report.WriteJson(os);
-    os << '\n';
-    if (!os.good()) return Fail(("cannot write json file " + json).c_str());
+  if (!json.empty() &&
+      WriteReportFile(json, "json",
+                      [&](std::ostream& os) { report.WriteJson(os); }) != 0) {
+    return 1;
   }
   return report.CountOf(ConstraintSeverity::kError) > 0 ? 1 : 0;
 }
@@ -1101,9 +1081,8 @@ int AnswerExplainQuery(const obs::ExplainTagSummary& summary,
 }
 
 /// The `explain` subcommand: answers attribution queries either from
-/// summaries persisted in a ct-store (`--store FILE [--tag N]`, works in
-/// every build) or by re-cleaning a directory under an explain session
-/// (`--dir DIR`, needs an explain-enabled build).
+/// summaries persisted in a ct-store (`--store FILE [--tag N]`) or by
+/// re-cleaning a directory under an explain session (`--dir DIR`).
 int Explain(const Args& args) {
   const bool has_query = args.Has("time") || args.Has("location");
   if (has_query && (!args.Has("time") || !args.Has("location"))) {
@@ -1156,12 +1135,6 @@ int Explain(const Args& args) {
   // Re-clean mode: run the full clean under an explain session and report
   // from the live collection. The cleaned graphs are discarded — this
   // command explains, it does not overwrite DIR's outputs.
-  if (!obs::ExplainCompiledIn()) {
-    return Fail(
-        "explain --dir requires an explain-enabled build (this binary was "
-        "configured with -DRFIDCLEAN_EXPLAIN=OFF; --store decode still "
-        "works)");
-  }
   const std::string dir = args.Get("dir", ".");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.GetInt("seed", 1));
@@ -1217,14 +1190,10 @@ int Explain(const Args& args) {
   const obs::ExplainCollection collection = obs::CollectExplain();
   obs::StopExplain();
   const std::string json = args.Get("json", "");
-  if (!json.empty()) {
-    std::ofstream os(json);
-    if (!os) return Fail(("cannot write json file " + json).c_str());
-    WriteExplainReport(collection, os);
-    os << '\n';
-    if (!os.good()) {
-      return Fail(("cannot write json file " + json).c_str());
-    }
+  if (!json.empty() && WriteReportFile(json, "json", [&](std::ostream& os) {
+        WriteExplainReport(collection, os);
+      }) != 0) {
+    return 1;
   }
   if (has_query) {
     const std::optional<int> tag = args.GetStrictInt("tag", 0);
