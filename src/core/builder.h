@@ -105,8 +105,6 @@ class CtGraphBuilder {
   Result<CtGraph> Build(const LSequence& sequence,
                         BuildStats* stats = nullptr) const;
 
-  const SuccessorGenerator& successors() const { return successors_; }
-
   /// The preflight analyzer, or nullptr when CleanOptions::preflight was
   /// off. Shareable across threads (Analyze is const).
   const FeasibilityOracle* oracle() const {
@@ -114,7 +112,6 @@ class CtGraphBuilder {
   }
 
  private:
-  const ConstraintSet* constraints_;
   SuccessorGenerator successors_;
   std::optional<FeasibilityOracle> oracle_;
   /// Present iff CleanOptions::forward_threads > 1. Build() is const and

@@ -6,9 +6,7 @@
 #include "common/float_eq.h"
 #include "common/simd.h"
 #include "common/strings.h"
-#include "core/self_audit.h"
 #include "core/work_graph.h"
-#include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -46,21 +44,24 @@ Status ValidateCandidates(const std::vector<Candidate>& candidates) {
 StreamingCleaner::StreamingCleaner(const ConstraintSet& constraints,
                                    const SuccessorOptions& options)
     : owned_successors_(std::in_place, constraints, options),
-      successors_(&*owned_successors_),
-      engine_(constraints.num_locations()) {}
+      session_(*owned_successors_, internal_core::FailureMode::kEager) {}
 
 StreamingCleaner::StreamingCleaner(const SuccessorGenerator& successors)
-    : successors_(&successors),
-      engine_(successors.constraints().num_locations()) {}
+    : session_(successors, internal_core::FailureMode::kEager) {}
 
 void StreamingCleaner::ReserveCapacity(std::size_t nodes, std::size_t edges,
                                        Timestamp ticks, std::size_t keys) {
-  engine_.ReserveCapacity(nodes, edges, ticks, keys);
+  session_.ReserveCapacity(nodes, edges, ticks, keys);
 }
 
 void StreamingCleaner::SetPreflightPlan(const PreflightPlan* plan) {
-  RFID_CHECK_EQ(engine_.num_layers(), 0);
-  preflight_plan_ = plan;
+  session_.AttachPlan(plan);
+}
+
+Status StreamingCleaner::Preflight(const FeasibilityOracle* oracle,
+                                   const LSequence& sequence,
+                                   BuildStats* stats) {
+  return session_.Preflight(oracle, sequence, stats);
 }
 
 Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
@@ -72,70 +73,32 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
   }
   obs::PhaseTimer phase_timer(obs::Phase::kForward);
   RFID_RETURN_IF_ERROR(ValidateCandidates(candidates));
-
-  // Explain capture: the attribution pass needs the *full* tick (with the
-  // plan's pruned flags), not the filtered one the engine sees.
-  if (obs::ExplainArmed()) {
-    explain_ctx_.successors = successors_;
-    const std::size_t t = static_cast<std::size_t>(TicksSeen());
-    std::vector<internal_core::ExplainTickCandidate> tick;
-    tick.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const bool pruned =
-          preflight_plan_ != nullptr &&
-          t < preflight_plan_->admissible.size() &&
-          !preflight_plan_->admissible[t][i];
-      tick.push_back(
-          {candidates[i].location, candidates[i].probability, pruned});
-    }
-    explain_ctx_.ticks.push_back(std::move(tick));
+  const bool first = TicksSeen() == 0;
+  const Status pushed = session_.Push(candidates);
+  if (!pushed.ok()) {
+    // Every interpretation is now invalid; nothing was appended, so the
+    // previous state remains intact for inspection.
+    failed_ = true;
+    return pushed;
   }
 
-  // Static pruning: validation always sees the caller's full tick, then
-  // candidates the plan proved dead are dropped before the engine does any
-  // work. The plan indexes by position, so the Push stream must be exactly
-  // the candidate lists the plan was computed from.
-  const std::vector<Candidate>* effective = &candidates;
-  if (preflight_plan_ != nullptr) {
-    const std::size_t t = static_cast<std::size_t>(TicksSeen());
-    RFID_CHECK_LT(t, preflight_plan_->admissible.size());
-    if (preflight_plan_->PrunedAt(static_cast<Timestamp>(t))) {
-      preflight_plan_->FilterTick(static_cast<Timestamp>(t), candidates,
-                                  &plan_filtered_);
-      effective = &plan_filtered_;
-    }
-  }
-
-  if (engine_.num_layers() == 0) {
-    // First tick: source nodes, one per candidate, with the candidate
-    // probability as the (unnormalized) filtered mass.
-    engine_.BeginSources(*successors_, *effective);
-    const WorkGraph& work = engine_.work();
+  const WorkGraph& work = session_.work();
+  if (first) {
+    // Source nodes, one per candidate, with the candidate probability as
+    // the (unnormalized) filtered mass.
     frontier_alpha_.clear();
     const std::int32_t end = work.layer_begin[1];
     for (std::int32_t id = 0; id < end; ++id) {
       frontier_alpha_.push_back(
           work.nodes[static_cast<std::size_t>(id)].source_probability);
     }
-    if (obs::ExplainArmed()) explain_ctx_.alpha_deltas.push_back(0.0);
+    session_.RecordAlphaDelta(0.0);
     return Status::Ok();
   }
 
-  const Timestamp t = TicksSeen() - 1;
-  const WorkGraph& work = engine_.work();
   const std::size_t layers = work.layer_begin.size();
-  const std::int32_t frontier_begin = work.layer_begin[layers - 2];
-  const std::int32_t frontier_end = work.layer_begin[layers - 1];
-  if (!engine_.AdvanceLayer(*successors_, t, *effective,
-                            /*record_empty_layer=*/false)) {
-    // No node of the frontier admits a successor compatible with this
-    // tick: every interpretation is now invalid. Nothing was appended
-    // (successor generation produced no node or edge), so the previous
-    // state remains intact for inspection.
-    failed_ = true;
-    return FailedPreconditionError(
-        "the new tick leaves no consistent interpretation of the readings");
-  }
+  const std::int32_t frontier_begin = work.layer_begin[layers - 3];
+  const std::int32_t frontier_end = work.layer_begin[layers - 2];
 
   // Forward-filter update: each fresh edge carries the a-priori mass of
   // its target, and the frontier's CSR slices enumerate successors in
@@ -167,17 +130,15 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
     frontier_alpha_.swap(next_alpha_);
     failed_ = true;
     obs::Add(obs::Counter::kStreamAlphaUnderflows);
-    if (obs::ExplainArmed()) explain_ctx_.alpha_deltas.push_back(1.0);
+    session_.RecordAlphaDelta(1.0);
     return FailedPreconditionError(
         "the filtered probability mass of every remaining interpretation "
         "underflowed to zero");
   }
-  if (obs::ExplainArmed()) {
-    // Renormalization delta: the filtered mass the constraint checks shaved
-    // off this tick before the division restored a unit total.
-    const double delta = 1.0 - total;
-    explain_ctx_.alpha_deltas.push_back(delta > 0.0 ? delta : 0.0);
-  }
+  // Renormalization delta: the filtered mass the constraint checks shaved
+  // off this tick before the division restored a unit total.
+  const double delta = 1.0 - total;
+  session_.RecordAlphaDelta(delta > 0.0 ? delta : 0.0);
   simd::DivideInPlace(next_alpha_.data(), next_alpha_.size(), total);
   frontier_alpha_.swap(next_alpha_);
   return Status::Ok();
@@ -185,8 +146,8 @@ Status StreamingCleaner::Push(const std::vector<Candidate>& candidates) {
 
 std::vector<std::pair<LocationId, double>>
 StreamingCleaner::CurrentDistribution() const {
-  RFID_CHECK_GT(engine_.num_layers(), 0);
-  const WorkGraph& work = engine_.work();
+  RFID_CHECK_GT(TicksSeen(), 0);
+  const WorkGraph& work = session_.work();
   const std::size_t layers = work.layer_begin.size();
   const std::int32_t frontier_begin = work.layer_begin[layers - 2];
   const std::int32_t frontier_end = work.layer_begin[layers - 1];
@@ -197,7 +158,7 @@ StreamingCleaner::CurrentDistribution() const {
   // location's masses still accumulate in ascending node-id order (locked
   // by StreamingTest.CurrentDistributionKeepsFirstEncounterOrder).
   const std::size_t num_locations =
-      successors_->constraints().num_locations();
+      session_.successors().constraints().num_locations();
   dist_mass_.assign(num_locations, 0.0);
   dist_seen_.assign(num_locations, 0);
   std::vector<LocationId> order;
@@ -225,19 +186,8 @@ StreamingCleaner::CurrentDistribution() const {
 Result<CtGraph> StreamingCleaner::Finish(BuildStats* stats) && {
   obs::TraceSpan span("stream", "stream_finish");
   span.AddArg("ticks", static_cast<std::uint64_t>(TicksSeen()));
-  RFID_CHECK_GT(engine_.num_layers(), 0);
-  if (stats != nullptr) {
-    stats->peak_nodes = engine_.work().nodes.size();
-    stats->peak_edges = engine_.work().edges.size();
-    stats->peak_keys = engine_.num_keys();
-  }
-  Result<CtGraph> graph = internal_core::ConditionAndCompact(
-      engine_.TakeWork(), stats,
-      obs::ExplainArmed() ? &explain_ctx_ : nullptr);
-  if (graph.ok()) {
-    RFID_RETURN_IF_ERROR(RunCtGraphAuditHook(graph.value()));
-  }
-  return graph;
+  RFID_CHECK_GT(TicksSeen(), 0);
+  return session_.Finish(stats);
 }
 
 }  // namespace rfidclean

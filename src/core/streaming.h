@@ -9,7 +9,7 @@
 #include "common/status.h"
 #include "constraints/constraint_set.h"
 #include "core/builder.h"
-#include "core/forward.h"
+#include "core/clean_session.h"
 #include "core/successor.h"
 #include "model/lsequence.h"
 
@@ -68,11 +68,18 @@ class StreamingCleaner {
   /// first Push; pass nullptr to detach.
   void SetPreflightPlan(const PreflightPlan* plan);
 
+  /// SetPreflightPlan for a caller holding the whole stream (the batch
+  /// runtime): analyzes `sequence`, exactly what will be Pushed, and fills
+  /// the preflight fields of `stats`. A doomed sequence fails with Push's
+  /// failure; a null `oracle` is a no-op. Call before the first Push.
+  Status Preflight(const FeasibilityOracle* oracle, const LSequence& sequence,
+                   BuildStats* stats);
+
   /// Attaches a fork-join pool for intra-tag layer parallelism in the
   /// forward engine (see ForwardEngine::SetThreadPool — successor
   /// generation only; results are byte-identical with or without it). The
   /// pool must outlive the cleaner; pass nullptr to detach.
-  void SetThreadPool(ThreadPool* pool) { engine_.SetThreadPool(pool); }
+  void SetThreadPool(ThreadPool* pool) { session_.SetThreadPool(pool); }
 
   /// Appends the candidate interpretation of the next tick (location,
   /// probability pairs summing to 1, as produced by AprioriModel /
@@ -89,7 +96,7 @@ class StreamingCleaner {
   Status Push(const std::vector<Candidate>& candidates);
 
   /// Number of ticks consumed so far.
-  Timestamp TicksSeen() const { return engine_.num_layers(); }
+  Timestamp TicksSeen() const { return session_.num_layers(); }
 
   /// Filtered distribution over locations at the latest tick (sums to 1).
   /// Requires at least one successful Push.
@@ -102,20 +109,13 @@ class StreamingCleaner {
 
  private:
   std::optional<SuccessorGenerator> owned_successors_;
-  const SuccessorGenerator* successors_;
-  internal_core::ForwardEngine engine_;
+  /// Preflight, plan filtering, explain capture, the forward engine, and
+  /// the conditioning finish; this class adds validation and the filter.
+  internal_core::CleanSession session_;
   /// Filtered forward mass per frontier node (aligned with the engine's
   /// last layer, renormalized every tick).
   std::vector<double> frontier_alpha_;
   std::vector<double> next_alpha_;
-  /// Optional static-pruning plan; scratch holds the filtered tick.
-  const PreflightPlan* preflight_plan_ = nullptr;
-  std::vector<Candidate> plan_filtered_;
-  /// Explain-session inputs, captured tick by tick only while a session is
-  /// armed (obs/explain.h) and threaded into Finish's conditioning call:
-  /// the full candidate lists (with pruned flags) plus the per-tick
-  /// renormalization deltas of the alpha recursion.
-  internal_core::ExplainBuildContext explain_ctx_;
   /// CurrentDistribution scratch: per-location mass and first-encounter
   /// marks, reused across calls.
   mutable std::vector<double> dist_mass_;

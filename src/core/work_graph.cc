@@ -618,6 +618,12 @@ std::unique_ptr<ExplainPassState> RunExplainAttribution(
 
 }  // namespace
 
+Status InfeasibleReadingsError() {
+  return FailedPreconditionError(
+      "the integrity constraints rule out every interpretation of the "
+      "readings");
+}
+
 Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
                                     const ExplainBuildContext* explain) {
   Stopwatch stopwatch;
@@ -762,9 +768,7 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
     // never ran); both splits are sampled so their counts stay paired.
     obs::ObserveValue(obs::Dist::kMassLostBackwardPpb, 1000000000u);
     obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, 0u);
-    Status failure = FailedPreconditionError(
-        "the integrity constraints rule out every interpretation of the "
-        "readings");
+    Status failure = InfeasibleReadingsError();
     if (explain_state != nullptr) {
       explain_state->summary.status = failure.message();
       explain_state->summary.mass_lost_backward_ppb = 1000000000u;

@@ -89,6 +89,10 @@ struct ExplainBuildContext {
   const SuccessorGenerator* successors = nullptr;
 };
 
+/// "the integrity constraints rule out every interpretation of the
+/// readings": ConditionAndCompact's failure when nothing survives.
+Status InfeasibleReadingsError();
+
 /// Runs the backward conditioning phase (survival masses, per-layer
 /// rescaling, source weighting) and compacts the survivors into a CtGraph.
 /// Consumes `graph`. Fills the backward timing and final counts of `stats`

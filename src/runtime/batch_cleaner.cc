@@ -46,57 +46,34 @@ TagOutcome CleanOne(const SuccessorGenerator& successors,
   const Stopwatch tag_watch;
   // Every kill decision and summary recorded while this workload cleans —
   // by the preflight, the forward engine, or the conditioning pass —
-  // carries this tag; outcomes for other paths (doomed, push failure) are
-  // attributed below.
+  // carries this tag.
   obs::SetExplainTag(static_cast<long long>(workload.tag));
   BuildStats stats;
-  // Which explain coverage the clean reached: doomed tags are summarized
-  // by the preflight itself and ConditionAndCompact summarizes everything
-  // that finishes, so only the paths that die before Finish (empty stream,
-  // mid-stream Push failure) need a summary from this layer.
-  bool explain_covered = false;
+  bool conditioned = false;
   Result<CtGraph> graph = [&]() -> Result<CtGraph> {
     if (workload.sequence.length() == 0) {
       return InvalidArgumentError(
           StrFormat("tag %lld has an empty stream",
                     static_cast<long long>(workload.tag)));
     }
-    std::optional<PreflightPlan> plan;
-    if (oracle != nullptr) {
-      const Stopwatch preflight_watch;
-      plan = oracle->Analyze(workload.sequence);
-      stats.preflight_millis = preflight_watch.ElapsedMillis();
-      stats.doomed_at = plan->doomed_at;
-      stats.preflight_candidates_pruned = plan->candidates_pruned;
-      if (plan->doomed()) {
-        // Fail fast with Push's verbatim failure: if every Push succeeded,
-        // Finish cannot fail, so a doomed sequence always dies in some
-        // Push — the fast path only moves *when* the status surfaces.
-        explain_covered = true;  // Analyze recorded the doomed summary.
-        return FailedPreconditionError(
-            "the new tick leaves no consistent interpretation of the "
-            "readings");
-      }
-      if (!plan->any_pruned()) plan.reset();
-    }
     StreamingCleaner cleaner(successors);
+    RFID_RETURN_IF_ERROR(cleaner.Preflight(oracle, workload.sequence, &stats));
     cleaner.SetThreadPool(pool);
     arena->Prepare(&cleaner, workload.sequence.length());
-    if (plan.has_value()) cleaner.SetPreflightPlan(&*plan);
-    const Stopwatch forward_watch;
     for (Timestamp t = 0; t < workload.sequence.length(); ++t) {
       Status pushed = cleaner.Push(workload.sequence.CandidatesAt(t));
       if (!pushed.ok()) return pushed;
       if (options.after_tick) options.after_tick(index, t);
     }
-    stats.forward_millis = forward_watch.ElapsedMillis();
-    explain_covered = true;  // Finish's conditioning records the summary.
+    conditioned = true;
     return std::move(cleaner).Finish(&stats);
   }();
-  if (obs::ExplainArmed() && !graph.ok() && !explain_covered) {
-    // The clean died before conditioning (empty stream or a Push left no
-    // consistent interpretation): record the outcome so the report lists
-    // every tag of the batch exactly once.
+  // Conditioning summarizes everything that reaches it and the preflight
+  // summarizes doomed tags, so only the paths that die in between (empty
+  // stream, a failed Push) need a summary from this layer, which keeps
+  // every tag of the batch in the report exactly once.
+  if (obs::ExplainArmed() && !graph.ok() && !conditioned &&
+      stats.doomed_at < 0) {
     obs::ExplainTagSummary summary;
     summary.tag = static_cast<long long>(workload.tag);
     summary.status = graph.status().message();
@@ -107,32 +84,39 @@ TagOutcome CleanOne(const SuccessorGenerator& successors,
   obs::ObserveValue(
       obs::Dist::kTagMicros,
       static_cast<std::uint64_t>(tag_watch.ElapsedMillis() * 1000.0));
-  if (obs::TraceActive()) {
-    // Graph digesting is a full structural walk — only worth it when a
-    // trace session is recording the provenance.
-    obs::TagProvenance provenance;
-    provenance.tag = static_cast<long long>(workload.tag);
-    provenance.input_digest = workload.sequence.Digest();
-    provenance.constraint_digest = constraint_digest;
-    provenance.graph_digest = graph.ok() ? graph.value().Digest() : 0;
-    provenance.forward_millis = stats.forward_millis;
-    provenance.backward_millis = stats.backward_millis;
-    provenance.status = graph.ok() ? "ok" : graph.status().ToString();
-    obs::RecordTagProvenance(std::move(provenance));
-  }
-  return TagOutcome{workload.tag, std::move(graph), stats};
+  TagOutcome outcome{workload.tag, std::move(graph), stats};
+  RecordOutcomeProvenance(workload, outcome, constraint_digest);
+  return outcome;
 }
 
 }  // namespace
 
+void RecordOutcomeProvenance(const TagWorkload& workload,
+                             const TagOutcome& outcome,
+                             std::uint64_t constraint_digest) {
+  // Graph digesting is a full structural walk — only worth it when a
+  // trace session is recording the provenance.
+  if (!obs::TraceActive()) return;
+  obs::TagProvenance provenance;
+  provenance.tag = static_cast<long long>(outcome.tag);
+  provenance.input_digest = workload.sequence.Digest();
+  provenance.constraint_digest = constraint_digest;
+  provenance.graph_digest =
+      outcome.graph.ok() ? outcome.graph.value().Digest() : 0;
+  provenance.forward_millis = outcome.stats.forward_millis;
+  provenance.backward_millis = outcome.stats.backward_millis;
+  provenance.status =
+      outcome.graph.ok() ? "ok" : outcome.graph.status().ToString();
+  obs::RecordTagProvenance(std::move(provenance));
+}
+
 BatchCleaner::BatchCleaner(const ConstraintSet& constraints,
                            BatchOptions options)
-    : constraints_(&constraints),
-      options_(std::move(options)),
-      successors_(constraints, options_.successor),
+    : options_(std::move(options)),
+      successors_(constraints, options_.clean.successor),
       constraint_digest_(constraints.Digest()) {
   if (options_.jobs < 1) options_.jobs = 1;
-  if (options_.preflight) oracle_.emplace(constraints);
+  if (options_.clean.preflight) oracle_.emplace(constraints);
 }
 
 std::vector<TagOutcome> BatchCleaner::CleanAll(
@@ -163,8 +147,8 @@ std::vector<TagOutcome> BatchCleaner::CleanAll(
       // across forward_threads values rests on the engine's Phase A/B
       // split, so the pool's only observable effect is wall-clock.
       std::optional<ThreadPool> pool;
-      if (options_.forward_threads > 1) {
-        pool.emplace(options_.forward_threads);
+      if (options_.clean.forward_threads > 1) {
+        pool.emplace(options_.clean.forward_threads);
       }
       std::size_t shard = 0;
       while (queue.Pop(worker, &shard)) {

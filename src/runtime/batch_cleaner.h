@@ -42,20 +42,15 @@ struct BatchOptions {
   /// calling thread without spawning. More jobs than tags is fine — the
   /// surplus workers drain by stealing and exit.
   int jobs = 1;
-  SuccessorOptions successor;
-  /// Static feasibility preflight (see CleanOptions::preflight): doomed
+  /// Per-tag cleaning knobs, as for CtGraphBuilder. `preflight`: doomed
   /// tags fail fast without pushing a single tick, and statically dead
-  /// candidates are dropped before the engine sees them. Output graphs and
-  /// statuses are byte-identical either way.
-  bool preflight = true;
-  /// Intra-tag layer parallelism (see CleanOptions::forward_threads): each
-  /// worker owns a private fork-join pool of this many lanes and splits
-  /// successor generation over wide layers across them. 1 = off (the
-  /// default — across-tag parallelism via `jobs` is almost always the
-  /// better first lever; this helps batches of few very wide tags). Output
-  /// is byte-identical for every value. Total thread count is roughly
-  /// jobs × forward_threads; tune the product to the machine.
-  int forward_threads = 1;
+  /// candidates are dropped before the engine sees them; output graphs and
+  /// statuses are byte-identical either way. `forward_threads`: each
+  /// worker owns a private fork-join pool of this many lanes for wide
+  /// layers (1 = off, the default — across-tag parallelism via `jobs` is
+  /// almost always the better first lever; this helps batches of few very
+  /// wide tags). Total thread count is roughly jobs × forward_threads.
+  CleanOptions clean;
   /// Instrumentation/test hook run in the owning worker right before shard
   /// `index` (the workload's position) is cleaned. Must be thread-safe; an
   /// exception it throws is converted into an Internal outcome for that
@@ -82,6 +77,12 @@ struct BatchOptions {
   /// worker cleaned it.
   obs::ExplainOptions explain;
 };
+
+/// Records `outcome`'s provenance (digests, phase millis, status) in the
+/// active trace session, if any. Batch workers call it per tag.
+void RecordOutcomeProvenance(const TagWorkload& workload,
+                             const TagOutcome& outcome,
+                             std::uint64_t constraint_digest);
 
 /// Cleans N independent tag streams concurrently on a fixed-size pool of
 /// `jobs` workers: a work-stealing queue (runtime/shard_queue.h) balances
@@ -113,11 +114,10 @@ class BatchCleaner {
   int jobs() const { return options_.jobs; }
 
  private:
-  const ConstraintSet* constraints_;
   BatchOptions options_;
   SuccessorGenerator successors_;
   /// Shared preflight analyzer (Analyze is const, so workers share it);
-  /// absent when BatchOptions::preflight is off.
+  /// absent when BatchOptions::clean.preflight is off.
   std::optional<FeasibilityOracle> oracle_;
   /// Computed once at construction; stamped into every tag's trace
   /// provenance record (constraint sets are immutable and shared).

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/graph_audit.h"
+#include "core/builder.h"
 #include "common/rng.h"
 #include "core/streaming.h"
 #include "io/ctgraph_io.h"
@@ -135,7 +136,7 @@ TEST_P(BatchDifferentialTest, ParallelEqualsSequentialBitForBit) {
       for (bool preflight : {false, true}) {
       BatchOptions options;
       options.jobs = jobs;
-      options.preflight = preflight;
+      options.clean.preflight = preflight;
       BatchCleaner cleaner(constraints, options);
       std::vector<TagOutcome> actual = cleaner.CleanAll(workloads);
 
@@ -218,6 +219,94 @@ TEST_P(BatchDifferentialTest, ExplainReportIsWorkerCountInvariant) {
     const std::string parallel = report_with_jobs(8);
     ASSERT_EQ(serial, parallel)
         << "seed=" << GetParam() << " round=" << round;
+  }
+}
+
+TEST_P(BatchDifferentialTest, ExplainStatusMatchesEveryOutcome) {
+  // Every tag's explain summary reports exactly the status its outcome
+  // carries — doomed tags included, whose summary the preflight fast-fail
+  // records — with the preflight on and off.
+  Rng rng(static_cast<std::uint64_t>(GetParam()), /*stream=*/777);
+  for (int round = 0; round < 4; ++round) {
+    const std::size_t num_locations =
+        static_cast<std::size_t>(rng.UniformInt(3, 5));
+    ConstraintSet constraints = MakeRandomConstraints(num_locations, rng);
+    const int num_tags = rng.UniformInt(2, 6);
+    std::vector<TagWorkload> workloads;
+    for (int k = 0; k < num_tags; ++k) {
+      workloads.push_back(TagWorkload{static_cast<TagId>(100 + k),
+                                      MakeRandomSequence(num_locations, rng)});
+    }
+    for (bool preflight : {false, true}) {
+      obs::ExplainOptions explain;
+      explain.enabled = true;
+      BatchOptions options;
+      options.clean.preflight = preflight;
+      options.explain = explain;
+      const std::vector<TagOutcome> outcomes =
+          BatchCleaner(constraints, options).CleanAll(workloads);
+      const obs::ExplainCollection collection = obs::CollectExplain();
+      obs::StopExplain();
+      ASSERT_EQ(collection.tags.size(), outcomes.size());
+      for (const TagOutcome& outcome : outcomes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed=" << GetParam() << " round=" << round
+                     << " preflight=" << preflight << " tag=" << outcome.tag);
+        const obs::ExplainTagSummary* summary =
+            collection.FindTag(static_cast<long long>(outcome.tag));
+        ASSERT_NE(summary, nullptr);
+        EXPECT_EQ(summary->status, outcome.graph.ok()
+                                       ? std::string("ok")
+                                       : outcome.graph.status().message());
+      }
+    }
+  }
+}
+
+TEST_P(BatchDifferentialTest, BuilderAndBatchReportTheSameStats) {
+  // The builder and the batch runtime drive one pipeline, so per tag they
+  // agree on the preflight verdict and pruning, and — for tags that clean —
+  // on the forward peaks and the final graph size.
+  Rng rng(static_cast<std::uint64_t>(GetParam()), /*stream=*/2024);
+  for (int round = 0; round < 8; ++round) {
+    const std::size_t num_locations =
+        static_cast<std::size_t>(rng.UniformInt(3, 5));
+    ConstraintSet constraints = MakeRandomConstraints(num_locations, rng);
+    const int num_tags = rng.UniformInt(1, 6);
+    std::vector<TagWorkload> workloads;
+    for (int k = 0; k < num_tags; ++k) {
+      workloads.push_back(TagWorkload{static_cast<TagId>(100 + k),
+                                      MakeRandomSequence(num_locations, rng)});
+    }
+    for (bool preflight : {false, true}) {
+      CleanOptions clean;
+      clean.preflight = preflight;
+      BatchOptions options;
+      options.clean = clean;
+      const std::vector<TagOutcome> batch =
+          BatchCleaner(constraints, options).CleanAll(workloads);
+      const CtGraphBuilder builder(constraints, clean);
+      ASSERT_EQ(batch.size(), workloads.size());
+      for (std::size_t i = 0; i < workloads.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed=" << GetParam() << " round=" << round
+                     << " preflight=" << preflight << " tag index=" << i);
+        BuildStats built;
+        const Result<CtGraph> graph =
+            builder.Build(workloads[i].sequence, &built);
+        const BuildStats& cleaned = batch[i].stats;
+        EXPECT_EQ(built.doomed_at, cleaned.doomed_at);
+        EXPECT_EQ(built.preflight_candidates_pruned,
+                  cleaned.preflight_candidates_pruned);
+        ASSERT_EQ(graph.ok(), batch[i].graph.ok());
+        if (!graph.ok()) continue;
+        EXPECT_EQ(built.peak_nodes, cleaned.peak_nodes);
+        EXPECT_EQ(built.peak_edges, cleaned.peak_edges);
+        EXPECT_EQ(built.peak_keys, cleaned.peak_keys);
+        EXPECT_EQ(built.final_nodes, cleaned.final_nodes);
+        EXPECT_EQ(built.final_edges, cleaned.final_edges);
+      }
+    }
   }
 }
 

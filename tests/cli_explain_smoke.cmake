@@ -123,6 +123,39 @@ endif()
 expect_fail("has no explain summary in the store"
             ${CLI} explain --store ${WORK_DIR}/multi/s.cts --tag 77)
 
+# --- A single-tag clean that runs but fails still writes its reports:
+# exit 1, and explain.json lists the tag under the builder's failure status
+# (only runs that fail before cleaning leave the error stub). ---
+file(MAKE_DIRECTORY ${WORK_DIR}/doomed)
+run_step(${CLI} generate --floors 2 --duration 20 --seed 5
+         --out ${WORK_DIR}/doomed)
+file(WRITE ${WORK_DIR}/doomed/readings.csv "time,readers\n0,1\n1,10\n2,10\n")
+execute_process(COMMAND ${CLI} clean --dir ${WORK_DIR}/doomed --seed 5
+                --explain=${WORK_DIR}/doomed/e.json
+                --stats=${WORK_DIR}/doomed/s.json
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 1)
+  message(FATAL_ERROR "doomed single-tag clean exited ${code}, not 1:\n${out}\n${err}")
+endif()
+set(builder_failure
+    "the integrity constraints rule out every interpretation of the readings")
+file(READ ${WORK_DIR}/doomed/e.json doomed_report)
+string(FIND "${doomed_report}" "\"num_tags\": 1," one_tag)
+string(FIND "${doomed_report}" "\"status\": \"${builder_failure}\"" failed)
+if(one_tag EQUAL -1 OR failed EQUAL -1)
+  message(FATAL_ERROR "doomed clean's explain report is not the one failed "
+                      "tag under the builder's status:\n${doomed_report}")
+endif()
+file(READ ${WORK_DIR}/doomed/s.json doomed_stats)
+string(FIND "${doomed_stats}" "\"counters\"" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "doomed clean left a stats stub:\n${doomed_stats}")
+endif()
+if(PYTHON AND CHECKER)
+  run_step(${PYTHON} ${CHECKER} ${WORK_DIR}/doomed/e.json --min-tags 1
+           "--require-status" "0=${builder_failure}")
+endif()
+
 # --- Flag validation: bad values fail before any cleaning work. ---
 expect_fail("--explain-top-edges must be a positive integer"
             ${CLI} clean --dir ${WORK_DIR} --explain --explain-top-edges 0)

@@ -227,6 +227,9 @@ TEST(ExplainTest, DoomedTagRecordsAFailureSummary) {
   ASSERT_NE(doomed, nullptr);
   EXPECT_NE(doomed->status, "ok");
   EXPECT_FALSE(doomed->status.empty());
+  // The preflight fast-fail records the summary under the status the batch
+  // outcome carries, not the builder's deferred failure.
+  EXPECT_EQ(doomed->status, outcomes[0].graph.status().message());
   const obs::ExplainTagSummary* cleaned = collection.FindTag(6);
   ASSERT_NE(cleaned, nullptr);
   EXPECT_EQ(cleaned->status, "ok");

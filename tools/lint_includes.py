@@ -25,6 +25,18 @@ examples/):
     ODR violation. Configuration branches belong in .cc files. Include
     guards (names ending in _H_) are exempt.
 
+ 4. One cleaning pipeline: outside src/core/clean_session.{h,cc}, nothing
+    under src/ or tools/ may call ConditionAndCompact(),
+    RunCtGraphAuditHook() or FeasibilityOracle::Analyze() (`.Analyze(` /
+    `->Analyze(`), or construct a ForwardEngine. CtGraphBuilder,
+    StreamingCleaner and the batch runtime all run internal_core::
+    CleanSession; a driver that calls these stages itself forks the
+    pipeline (preflight fast-fail, plan filtering, explain capture,
+    finish/audit) and lets the copies drift. Each function's own
+    declaration and definition are exempt, and so is the ct-store decoder
+    (src/store/graph_codec.cc), whose self-audit checks a graph loaded from
+    disk, not one being cleaned.
+
 Exit status 0 when clean, 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths are resolved against the repo root
 (the parent of this script's directory), or pass --root.
@@ -40,6 +52,24 @@ SCANNED_DIRS = ("src", "tools", "tests", "bench", "examples")
 # assert() is banned only in library/tool code; tests and benches may use
 # the standard macro if they want to.
 ASSERT_BANNED_DIRS = ("src", "tools")
+
+# Rule 4: (pattern, what, files allowed to contain it). The session owns
+# every stage; each stage's own declaration/definition files are exempt.
+PIPELINE_OWNER = ("src/core/clean_session.h", "src/core/clean_session.cc")
+PIPELINE_STAGES = (
+    (re.compile(r"\bConditionAndCompact\s*\("), "ConditionAndCompact()",
+     ("src/core/work_graph.h", "src/core/work_graph.cc")),
+    (re.compile(r"\bRunCtGraphAuditHook\s*\("), "RunCtGraphAuditHook()",
+     ("src/core/self_audit.h", "src/core/self_audit.cc",
+      "src/store/graph_codec.cc")),
+    (re.compile(r"(?:\.|->)\s*Analyze\s*\("), "FeasibilityOracle::Analyze()",
+     ("src/analysis/feasibility.h", "src/analysis/feasibility.cc")),
+    # A ForwardEngine variable, member, temporary or owning wrapper;
+    # references and pointers to one are fine.
+    (re.compile(r"\bForwardEngine\b(?!\s*::)\s*(?:\w+\s*)?[({;=]|"
+                r"<\s*(?:\w+::)*ForwardEngine\s*>"),
+     "a ForwardEngine", ("src/core/forward.h", "src/core/forward.cc")),
+)
 
 ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 CONDITIONAL_RE = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b(.*)$")
@@ -130,6 +160,22 @@ def check_config_branches(path: Path, relpath: Path, lines) -> list:
     return findings
 
 
+def check_pipeline_stages(path: Path, relpath: Path, lines) -> list:
+    rel = relpath.as_posix()
+    if rel in PIPELINE_OWNER:
+        return []
+    findings = []
+    for lineno, line in enumerate(lines, start=1):
+        code = strip_noncode(line)
+        for pattern, what, exempt in PIPELINE_STAGES:
+            if rel not in exempt and pattern.search(code):
+                findings.append(
+                    f"{relpath}:{lineno}: {what} outside the cleaning "
+                    "pipeline; drive CtGraphBuilder, StreamingCleaner or "
+                    "internal_core::CleanSession instead of forking it")
+    return findings
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -152,6 +198,7 @@ def main() -> int:
             scanned += 1
             if top in ASSERT_BANNED_DIRS:
                 findings += check_asserts(path, relpath, lines)
+                findings += check_pipeline_stages(path, relpath, lines)
             if path.suffix in (".h", ".hpp"):
                 findings += check_include_guard(path, relpath, lines)
                 if top == "src":

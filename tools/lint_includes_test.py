@@ -91,6 +91,56 @@ class LintIncludesTest(unittest.TestCase):
                           "#ifdef RFIDCLEAN_SIMD_OFF\n#endif\n")
         self.assertEqual(self.run_lint(), (0, []))
 
+    def test_pipeline_stage_calls_outside_the_session_are_flagged(self):
+        self.write("src/runtime/fork.cc",
+                   "void Clean() {\n"
+                   "  auto plan = oracle.Analyze(sequence);\n"
+                   "  auto again = oracle_->Analyze(sequence);\n"
+                   "  internal_core::ForwardEngine engine(n);\n"
+                   "  auto graph = internal_core::ConditionAndCompact(w, s);\n"
+                   "  RunCtGraphAuditHook(graph.value());\n"
+                   "}\n")
+        self.write("tools/driver.cc",
+                   "std::optional<internal_core::ForwardEngine> engine;\n")
+        self.write_header("src/core/fork.h",
+                          "class Fork {\n  internal_core::ForwardEngine "
+                          "engine_;\n};\n")
+        code, findings = self.run_lint()
+        self.assertEqual(code, 1)
+        self.assertEqual([f.split(": ")[0] for f in findings],
+                         ["src/core/fork.h:5", "src/runtime/fork.cc:2",
+                          "src/runtime/fork.cc:3", "src/runtime/fork.cc:4",
+                          "src/runtime/fork.cc:5", "src/runtime/fork.cc:6",
+                          "tools/driver.cc:1"])
+
+    def test_the_session_and_stage_definitions_are_exempt(self):
+        calls = ("Status S() {\n  ForwardEngine engine(n);\n"
+                 "  oracle->Analyze(seq);\n  ConditionAndCompact(w, s);\n"
+                 "  return RunCtGraphAuditHook(g);\n}\n")
+        self.write("src/core/clean_session.cc", calls)
+        self.write_header("src/core/clean_session.h",
+                          "class S {\n  ForwardEngine engine_;\n};\n")
+        self.write("src/core/forward.cc",
+                   "ForwardEngine::ForwardEngine(std::size_t n) {}\n")
+        self.write("src/core/work_graph.cc",
+                   "Result<CtGraph> ConditionAndCompact(WorkGraph&& w) {}\n")
+        self.write("src/core/self_audit.cc",
+                   "Status RunCtGraphAuditHook(const CtGraph& g) {}\n")
+        self.write("src/store/graph_codec.cc",
+                   "  RFID_RETURN_IF_ERROR(RunCtGraphAuditHook(*graph));\n")
+        self.assertEqual(self.run_lint(), (0, []))
+
+    def test_pipeline_references_comments_and_other_dirs_pass(self):
+        self.write("src/runtime/ok.cc",
+                   "// ConditionAndCompact(work) runs in the session\n"
+                   "void F(const ForwardEngine& engine, ForwardEngine* p);\n"
+                   "const char* kDoc = \"oracle.Analyze(seq)\";\n")
+        self.write("tests/oracle_test.cc",
+                   "auto plan = oracle.Analyze(sequence);\n")
+        self.write("perfbench/ingest.cc",
+                   "auto plan = oracle.Analyze(sequence);\n")
+        self.assertEqual(self.run_lint(), (0, []))
+
 
 if __name__ == "__main__":
     unittest.main()

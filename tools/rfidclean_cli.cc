@@ -300,12 +300,6 @@ Result<Building> LoadBuilding(const std::string& dir) {
   return ReadBuilding(is);
 }
 
-Result<RSequence> LoadReadings(const std::string& dir) {
-  std::ifstream is(dir + "/readings.csv");
-  if (!is) return NotFoundError("cannot open " + dir + "/readings.csv");
-  return ReadReadingsCsv(is);
-}
-
 Result<CtGraph> LoadGraph(const std::string& dir) {
   std::ifstream is(dir + "/graph.ctg");
   if (!is) {
@@ -414,14 +408,6 @@ int Generate(const Args& args) {
   return 0;
 }
 
-/// True when DIR/readings.csv starts with the multi-tag header.
-bool HasMultiTagReadings(const std::string& dir) {
-  std::ifstream is(dir + "/readings.csv");
-  std::string line;
-  return is && std::getline(is, line) &&
-         StripWhitespace(line) == kMultiTagReadingsHeader;
-}
-
 Result<ConstraintSet> MakeCliConstraints(const Args& args,
                                          const Building& building,
                                          const Deployment& deployment,
@@ -443,78 +429,119 @@ Result<ConstraintSet> MakeCliConstraints(const Args& args,
   return InferConstraints(building, walking, inference);
 }
 
-/// Observability requests threaded through the clean paths.
-struct CleanObs {
-  ReportFlag stats;
-  ReportFlag trace;
-  ReportFlag explain;
-  obs::TraceOptions trace_options;
+/// What one clean cleans, shared by `clean` and `explain`'s re-clean
+/// mode: the constraint set inferred for DIR's building and the workloads
+/// of DIR/readings.csv — the CSV's tags for a multi-tag file, else one
+/// workload under tag 0.
+struct CleanInputs {
+  ConstraintFamilies families;
+  ConstraintSet constraints;
+  bool multi_tag;
+  BatchOptions batch;  // .clean also configures the single-tag builder
+  std::vector<TagWorkload> workloads;
 };
 
-/// Writes the --stats and --explain reports a clean requested.
-int EmitCleanReports(CleanObs* observability) {
-  if (observability->stats.requested() &&
-      EmitStats(&observability->stats) != 0) {
-    return 1;
+/// Parses the cleaning flags (--seed, --jobs, --forward-threads,
+/// --families, --no-preflight) and loads the inputs they select from DIR.
+/// Returns nullopt after a diagnostic.
+std::optional<CleanInputs> LoadCleanInputs(const Args& args,
+                                           const std::string& dir,
+                                           const Building& building) {
+  const auto fail = [](const auto& what) {
+    Fail(what);
+    return std::optional<CleanInputs>();
+  };
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  const std::optional<int> jobs = args.GetStrictInt("jobs", 1);
+  if (!jobs.has_value() || *jobs < 1) {
+    return fail("--jobs must be a positive integer");
   }
-  if (observability->explain.requested() &&
-      ExportExplain(&observability->explain) != 0) {
-    return 1;
+  // Intra-tag lanes (CleanOptions::forward_threads); output is
+  // byte-identical for every value, so this is purely a wall-clock knob.
+  const std::optional<int> forward_threads =
+      args.GetStrictInt("forward-threads", 1);
+  if (!forward_threads.has_value() || *forward_threads < 1) {
+    return fail("--forward-threads must be a positive integer");
   }
-  return 0;
-}
+  BatchOptions batch;
+  batch.jobs = *jobs;
+  // --no-preflight disables the static feasibility pass (identical output,
+  // useful for A/B timing and for isolating preflight bugs).
+  batch.clean.preflight = !args.GetBool("no-preflight", false);
+  batch.clean.forward_threads = *forward_threads;
 
-/// Persists every per-tag explain summary of the active session into the
-/// store the graphs just went to, so `rfidclean explain --store` can answer
-/// attribution queries later without re-cleaning. Summaries for failed tags
-/// ride along on purpose — they explain *why* the tag has no graph.
-Status PersistExplainSummaries(store::CtStoreWriter* writer) {
-  const obs::ExplainCollection collection = obs::CollectExplain();
-  for (const obs::ExplainTagSummary& summary : collection.tags) {
-    RFID_RETURN_IF_ERROR(writer->PutExplain(
-        summary.tag, store::EncodeExplainBlob(summary)));
-  }
-  return Status::Ok();
-}
-
-/// The multi-tag batch path of `clean`: every tag cleaned concurrently on
-/// --jobs workers; one graph_<tag>.ctg per successfully cleaned tag, or —
-/// with `store_path` — every cleaned graph appended to one binary
-/// ct-store container instead.
-int CleanBatch(const std::string& dir, const Building& building,
-               const Deployment& deployment, const ConstraintSet& constraints,
-               ConstraintFamilies families, bool audit, bool preflight,
-               int jobs, int forward_threads, const std::string& store_path,
-               CleanObs* observability) {
-  std::ifstream is(dir + "/readings.csv");
-  if (!is) return Fail("cannot open readings.csv");
-  Result<std::vector<TagReadings>> tags = ReadMultiTagReadingsCsv(is);
-  if (!tags.ok()) return Fail(tags.status());
+  Deployment deployment = MakeDeployment(building, seed);
+  ConstraintFamilies families = ConstraintFamilies::DuLtTt();
+  Result<ConstraintSet> constraints =
+      MakeCliConstraints(args, building, deployment, &families);
+  if (!constraints.ok()) return fail(constraints.status());
 
   // The a-priori interpretation stays sequential: AprioriModel memoizes per
   // reader set behind a non-synchronized cache. The conditioning dominates
   // anyway and is what the batch engine parallelizes.
   AprioriModel apriori(building, deployment.grid, deployment.calibrated);
+  std::ifstream is(dir + "/readings.csv");
+  if (!is) return fail(NotFoundError("cannot open " + dir + "/readings.csv"));
+  std::string header;
+  const bool multi_tag = std::getline(is, header) &&
+                         StripWhitespace(header) == kMultiTagReadingsHeader;
+  is.clear();
+  is.seekg(0);
   std::vector<TagWorkload> workloads;
-  workloads.reserve(tags.value().size());
-  for (const TagReadings& tag : tags.value()) {
-    workloads.push_back(TagWorkload{
-        tag.tag, LSequence::FromReadings(tag.readings, apriori)});
+  if (multi_tag) {
+    Result<std::vector<TagReadings>> tags = ReadMultiTagReadingsCsv(is);
+    if (!tags.ok()) return fail(tags.status());
+    workloads.reserve(tags.value().size());
+    for (const TagReadings& tag : tags.value()) {
+      workloads.push_back(TagWorkload{
+          tag.tag, LSequence::FromReadings(tag.readings, apriori)});
+    }
+  } else {
+    Result<RSequence> readings = ReadReadingsCsv(is);
+    if (!readings.ok()) return fail(readings.status());
+    workloads.push_back(
+        TagWorkload{0, LSequence::FromReadings(readings.value(), apriori)});
   }
+  return CleanInputs{families, std::move(constraints).value(), multi_tag,
+                     batch, std::move(workloads)};
+}
 
-  BatchOptions options;
-  options.jobs = jobs;
-  options.forward_threads = forward_threads;
-  options.preflight = preflight;
-  // The CLI already started the session (so the io spans above are on the
-  // timeline); passing the options through exercises the embedding hook,
-  // which leaves an active session untouched.
-  options.trace = observability->trace_options;
-  BatchCleaner cleaner(constraints, options);
-  Stopwatch watch;
-  std::vector<TagOutcome> outcomes = cleaner.CleanAll(workloads);
-  const double millis = watch.ElapsedMillis();
+/// Cleans every workload: a multi-tag batch concurrently on --jobs workers
+/// (BatchCleaner), a single tag with CtGraphBuilder.
+std::vector<TagOutcome> CleanWorkloads(const CleanInputs& inputs) {
+  if (inputs.multi_tag) {
+    return BatchCleaner(inputs.constraints, inputs.batch)
+        .CleanAll(inputs.workloads);
+  }
+  const TagWorkload& workload = inputs.workloads.front();
+  BuildStats stats;
+  Result<CtGraph> graph = CtGraphBuilder(inputs.constraints, inputs.batch.clean)
+                              .Build(workload.sequence, &stats);
+  std::vector<TagOutcome> outcomes;
+  outcomes.push_back(TagOutcome{workload.tag, std::move(graph), stats});
+  if (obs::TraceActive()) {
+    RecordOutcomeProvenance(workload, outcomes.front(),
+                            inputs.constraints.Digest());
+    obs::TraceSampleCounterTracks();
+  }
+  return outcomes;
+}
 
+/// Writes what a clean produced. Per cleaned tag: its --audit report, then
+/// its graph — into the --store container (with input/constraint
+/// provenance digests), or as DIR/graph.ctg (single-tag, plus --dot) or
+/// DIR/graph_<tag>.ctg. Then the explain summaries go into the store, and
+/// the summary line and the --stats/--explain reports are written. Failed
+/// tags are reported on stderr; the reports are written either way, since
+/// they carry the failures too. Returns 1 when any tag failed.
+int EmitClean(const Args& args, const std::string& dir,
+              const Building& building, const CleanInputs& inputs,
+              const std::vector<TagOutcome>& outcomes, double millis,
+              ReportFlag* stats_report, ReportFlag* explain_report) {
+  const bool audit = args.GetBool("audit", false);
+  const std::string dot = args.Get("dot", "");
+  const std::string store_path = args.Get("store", "");
   std::optional<store::CtStoreWriter> writer;
   if (!store_path.empty()) {
     Result<store::CtStoreWriter> opened =
@@ -522,200 +549,118 @@ int CleanBatch(const std::string& dir, const Building& building,
     if (!opened.ok()) return Fail(opened.status());
     writer.emplace(std::move(opened).value());
   }
-  const std::uint64_t constraint_digest = constraints.Digest();
+  const std::uint64_t constraint_digest = inputs.constraints.Digest();
 
   int failures = 0;
   std::size_t nodes = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const TagOutcome& outcome = outcomes[i];
+    const long long tag = static_cast<long long>(outcome.tag);
     if (!outcome.graph.ok()) {
       ++failures;
-      std::fprintf(stderr, "tag %lld: %s\n",
-                   static_cast<long long>(outcome.tag),
-                   outcome.graph.status().ToString().c_str());
+      if (inputs.multi_tag) {
+        std::fprintf(stderr, "tag %lld: %s\n", tag,
+                     outcome.graph.status().ToString().c_str());
+      } else {
+        Fail(outcome.graph.status());
+      }
       continue;
     }
+    const CtGraph& graph = outcome.graph.value();
     if (audit) {
-      std::printf("tag %lld:\n%s\n", static_cast<long long>(outcome.tag),
-                  AuditGraph(outcome.graph.value()).ToString().c_str());
+      if (inputs.multi_tag) std::printf("tag %lld:\n", tag);
+      std::printf("%s\n", AuditGraph(graph).ToString().c_str());
     }
-    nodes += outcome.graph.value().NumNodes();
+    nodes += graph.NumNodes();
     if (writer.has_value()) {
       obs::TraceSpan span("store", "store_append");
       store::GraphProvenance provenance;
-      provenance.input_digest = workloads[i].sequence.Digest();
+      provenance.input_digest = inputs.workloads[i].sequence.Digest();
       provenance.constraint_digest = constraint_digest;
-      const std::string blob = store::EncodeCtGraphBlob(
-          outcome.graph.value(), outcome.tag, provenance);
-      Status put = writer->Put(outcome.tag, blob);
+      Status put = writer->Put(
+          outcome.tag,
+          store::EncodeCtGraphBlob(graph, outcome.tag, provenance));
       if (!put.ok()) return Fail(put);
-      continue;
+    } else {
+      const std::string path =
+          dir + (inputs.multi_tag ? StrFormat("/graph_%lld.ctg", tag)
+                                  : std::string("/graph.ctg"));
+      std::ofstream os(path);
+      if (!os) return Fail(("cannot write " + path).c_str());
+      WriteCtGraph(graph, os);
     }
-    std::ofstream os(
-        dir + StrFormat("/graph_%lld.ctg",
-                        static_cast<long long>(outcome.tag)));
-    if (!os) return Fail("cannot write per-tag graph file");
-    WriteCtGraph(outcome.graph.value(), os);
+    if (!inputs.multi_tag && !dot.empty()) {
+      std::ofstream os(dot);
+      if (!os) return Fail("cannot write dot file");
+      WriteDot(graph, os, &building);
+    }
   }
   if (writer.has_value()) {
+    // Every explain summary rides into the store next to the graphs, so
+    // `explain --store` answers later without re-cleaning. Failed tags'
+    // summaries too, on purpose: they explain *why* the tag has no graph.
     if (obs::ExplainArmed()) {
-      Status persisted = PersistExplainSummaries(&*writer);
-      if (!persisted.ok()) return Fail(persisted);
+      for (const obs::ExplainTagSummary& summary :
+           obs::CollectExplain().tags) {
+        Status put = writer->PutExplain(summary.tag,
+                                        store::EncodeExplainBlob(summary));
+        if (!put.ok()) return Fail(put);
+      }
     }
     Status finished = writer->Finish();
     if (!finished.ok()) return Fail(finished);
   }
-  std::printf(
-      "cleaned %zu/%zu tags under %s with %d jobs in %.1f ms "
-      "(%.1f tags/s, %zu total nodes) -> %s\n",
-      outcomes.size() - static_cast<std::size_t>(failures), outcomes.size(),
-      ConstraintFamiliesLabel(families).c_str(), cleaner.jobs(), millis,
-      millis > 0 ? 1000.0 * static_cast<double>(outcomes.size()) / millis
-                 : 0.0,
-      nodes,
-      store_path.empty() ? (dir + "/graph_<tag>.ctg").c_str()
-                         : store_path.c_str());
-  // The explain report is exported even with per-tag failures: it carries
-  // the failed tags' outcome summaries, which is what the flag is for.
-  if (EmitCleanReports(observability) != 0) return 1;
+  const std::string target =
+      !store_path.empty()
+          ? store_path
+          : dir + (inputs.multi_tag ? "/graph_<tag>.ctg" : "/graph.ctg");
+  const std::string families = ConstraintFamiliesLabel(inputs.families);
+  if (inputs.multi_tag) {
+    std::printf(
+        "cleaned %zu/%zu tags under %s with %d jobs in %.1f ms "
+        "(%.1f tags/s, %zu total nodes) -> %s\n",
+        outcomes.size() - static_cast<std::size_t>(failures),
+        outcomes.size(), families.c_str(), inputs.batch.jobs, millis,
+        millis > 0 ? 1000.0 * static_cast<double>(outcomes.size()) / millis
+                   : 0.0,
+        nodes, target.c_str());
+  } else if (failures == 0) {
+    const TagOutcome& outcome = outcomes.front();
+    std::printf(
+        "cleaned %d ticks under %s in %.1f ms: %zu nodes, %zu edges -> %s\n",
+        inputs.workloads.front().sequence.length(), families.c_str(),
+        outcome.stats.TotalMillis(), outcome.graph.value().NumNodes(),
+        outcome.graph.value().NumEdges(), target.c_str());
+  }
+  if ((stats_report->requested() && EmitStats(stats_report) != 0) ||
+      (explain_report->requested() && ExportExplain(explain_report) != 0)) {
+    return 1;
+  }
   return failures == 0 ? 0 : 1;
-}
-
-/// The body of `clean`, wrapped by Clean() which owns the observability
-/// lifecycle (trace session start/export, stats error stub on failure).
-int CleanImpl(const Args& args, const std::string& dir,
-              CleanObs* observability) {
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::optional<int> jobs = args.GetStrictInt("jobs", 1);
-  if (!jobs.has_value() || *jobs < 1) {
-    return Fail("--jobs must be a positive integer");
-  }
-  // Intra-tag lanes (CleanOptions::forward_threads); output is
-  // byte-identical for every value, so this is purely a wall-clock knob.
-  const std::optional<int> forward_threads =
-      args.GetStrictInt("forward-threads", 1);
-  if (!forward_threads.has_value() || *forward_threads < 1) {
-    return Fail("--forward-threads must be a positive integer");
-  }
-  Result<Building> building = LoadBuilding(dir);
-  if (!building.ok()) return Fail(building.status());
-
-  Deployment deployment = MakeDeployment(building.value(), seed);
-  ConstraintFamilies families = ConstraintFamilies::DuLtTt();
-  Result<ConstraintSet> constraints =
-      MakeCliConstraints(args, building.value(), deployment, &families);
-  if (!constraints.ok()) return Fail(constraints.status());
-
-  const bool audit = args.GetBool("audit", false);
-  // --no-preflight disables the static feasibility pass (identical output,
-  // useful for A/B timing and for isolating preflight bugs).
-  const bool preflight = !args.GetBool("no-preflight", false);
-  if (audit) {
-    // Fails the build itself on any invariant violation (self-audit hook
-    // inside CtGraphBuilder), and prints the full report below.
-    EnableSelfAudit();
-  }
-
-  const std::string store_path = args.Get("store", "");
-  if (HasMultiTagReadings(dir)) {
-    return CleanBatch(dir, building.value(), deployment, constraints.value(),
-                      families, audit, preflight, *jobs, *forward_threads,
-                      store_path, observability);
-  }
-
-  Result<RSequence> readings = LoadReadings(dir);
-  if (!readings.ok()) return Fail(readings.status());
-  AprioriModel apriori(building.value(), deployment.grid,
-                       deployment.calibrated);
-  LSequence sequence = LSequence::FromReadings(readings.value(), apriori);
-
-  CleanOptions build_options;
-  build_options.preflight = preflight;
-  build_options.forward_threads = *forward_threads;
-  CtGraphBuilder builder(constraints.value(), build_options);
-  BuildStats stats;
-  Result<CtGraph> graph = builder.Build(sequence, &stats);
-  if (obs::TraceActive()) {
-    // Single-tag runs record one provenance record under tag 0, mirroring
-    // what BatchCleaner::CleanOne stamps per tag.
-    obs::TagProvenance provenance;
-    provenance.tag = 0;
-    provenance.input_digest = sequence.Digest();
-    provenance.constraint_digest = constraints.value().Digest();
-    provenance.graph_digest = graph.ok() ? graph.value().Digest() : 0;
-    provenance.forward_millis = stats.forward_millis;
-    provenance.backward_millis = stats.backward_millis;
-    provenance.status = graph.ok() ? "ok" : graph.status().ToString();
-    obs::RecordTagProvenance(std::move(provenance));
-    obs::TraceSampleCounterTracks();
-  }
-  if (!graph.ok()) return Fail(graph.status());
-  if (audit) {
-    std::printf("%s\n", AuditGraph(graph.value()).ToString().c_str());
-  }
-  if (!store_path.empty()) {
-    obs::TraceSpan span("store", "store_append");
-    Result<store::CtStoreWriter> writer =
-        store::CtStoreWriter::OpenOrCreate(store_path);
-    if (!writer.ok()) return Fail(writer.status());
-    store::GraphProvenance provenance;
-    provenance.input_digest = sequence.Digest();
-    provenance.constraint_digest = constraints.value().Digest();
-    const std::string blob =
-        store::EncodeCtGraphBlob(graph.value(), /*tag=*/0, provenance);
-    Status put = writer->Put(/*tag=*/0, blob);
-    if (!put.ok()) return Fail(put);
-    if (obs::ExplainArmed()) {
-      Status persisted = PersistExplainSummaries(&writer.value());
-      if (!persisted.ok()) return Fail(persisted);
-    }
-    Status finished = writer->Finish();
-    if (!finished.ok()) return Fail(finished);
-  } else {
-    std::ofstream os(dir + "/graph.ctg");
-    if (!os) return Fail("cannot write graph.ctg");
-    WriteCtGraph(graph.value(), os);
-  }
-  std::string dot = args.Get("dot", "");
-  if (!dot.empty()) {
-    std::ofstream os(dot);
-    if (!os) return Fail("cannot write dot file");
-    WriteDot(graph.value(), os, &building.value());
-  }
-  std::printf(
-      "cleaned %d ticks under %s in %.1f ms: %zu nodes, %zu edges -> %s\n",
-      sequence.length(), ConstraintFamiliesLabel(families).c_str(),
-      stats.TotalMillis(), graph.value().NumNodes(),
-      graph.value().NumEdges(),
-      store_path.empty() ? (dir + "/graph.ctg").c_str()
-                         : store_path.c_str());
-  return EmitCleanReports(observability);
 }
 
 int Clean(const Args& args) {
   const std::string dir = args.Get("dir", ".");
-  CleanObs observability{ReportFlag(args, "stats", ""),
-                         ReportFlag(args, "trace", dir + "/trace.json"),
-                         ReportFlag(args, "explain", dir + "/explain.json"),
-                         obs::TraceOptions()};
-  if (observability.stats.Probe() != 0) return 1;
-  if (observability.trace.requested()) {
+  ReportFlag stats_report(args, "stats", "");
+  ReportFlag trace_report(args, "trace", dir + "/trace.json");
+  ReportFlag explain_report(args, "explain", dir + "/explain.json");
+  if (stats_report.Probe() != 0) return 1;
+  if (trace_report.requested()) {
     const std::optional<int> buffer_events =
         args.GetStrictInt("trace-buffer-events",
                           static_cast<int>(obs::TraceOptions().buffer_events));
     if (!buffer_events.has_value() || *buffer_events < 1) {
       return Fail("--trace-buffer-events must be a positive integer");
     }
-    if (observability.trace.Probe() != 0) return 1;
-    observability.trace_options.enabled = true;
-    observability.trace_options.buffer_events =
-        static_cast<std::size_t>(*buffer_events);
+    if (trace_report.Probe() != 0) return 1;
+    obs::TraceOptions trace;
+    trace.enabled = true;
+    trace.buffer_events = static_cast<std::size_t>(*buffer_events);
     // Started here rather than in BatchCleaner so the io parsing spans land
     // on the same timeline as the cleaning itself.
-    obs::StartTracing(observability.trace_options);
+    obs::StartTracing(trace);
   }
-  if (observability.explain.requested()) {
+  if (explain_report.requested()) {
     obs::ExplainOptions explain;
     explain.enabled = true;
     const std::optional<int> top_edges = args.GetStrictInt(
@@ -723,25 +668,40 @@ int Clean(const Args& args) {
     if (!top_edges.has_value() || *top_edges < 1) {
       return Fail("--explain-top-edges must be a positive integer");
     }
-    if (observability.explain.Probe() != 0) return 1;
+    if (explain_report.Probe() != 0) return 1;
     explain.top_edges = static_cast<std::size_t>(*top_edges);
     obs::StartExplain(explain);
   }
 
-  int code = CleanImpl(args, dir, &observability);
+  int code = [&] {
+    Result<Building> building = LoadBuilding(dir);
+    if (!building.ok()) return Fail(building.status());
+    std::optional<CleanInputs> inputs =
+        LoadCleanInputs(args, dir, building.value());
+    if (!inputs.has_value()) return 1;
+    if (args.GetBool("audit", false)) {
+      // Fails the clean itself on any invariant violation (the cleaners'
+      // self-audit hook); EmitClean prints the full report.
+      EnableSelfAudit();
+    }
+    const Stopwatch watch;
+    const std::vector<TagOutcome> outcomes = CleanWorkloads(*inputs);
+    return EmitClean(args, dir, building.value(), *inputs, outcomes,
+                     watch.ElapsedMillis(), &stats_report, &explain_report);
+  }();
 
-  if (observability.trace.requested()) {
+  if (trace_report.requested()) {
     // Exported on failure too — a timeline of a failed clean is precisely
     // what --trace is for. An export failure degrades a successful exit.
-    const int exported = ExportTrace(&observability.trace);
+    const int exported = ExportTrace(&trace_report);
     if (code == 0) code = exported;
     obs::StopTracing();
   }
   if (code != 0) {
-    observability.stats.StubIfUnwritten();
-    observability.explain.StubIfUnwritten();
+    stats_report.StubIfUnwritten();
+    explain_report.StubIfUnwritten();
   }
-  if (observability.explain.requested()) obs::StopExplain();
+  if (explain_report.requested()) obs::StopExplain();
   return code;
 }
 
@@ -1135,20 +1095,6 @@ int Explain(const Args& args) {
   // Re-clean mode: run the full clean under an explain session and report
   // from the live collection. The cleaned graphs are discarded — this
   // command explains, it does not overwrite DIR's outputs.
-  const std::string dir = args.Get("dir", ".");
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::optional<int> jobs = args.GetStrictInt("jobs", 1);
-  if (!jobs.has_value() || *jobs < 1) {
-    return Fail("--jobs must be a positive integer");
-  }
-  Deployment deployment = MakeDeployment(*building, seed);
-  ConstraintFamilies families = ConstraintFamilies::DuLtTt();
-  Result<ConstraintSet> constraints =
-      MakeCliConstraints(args, *building, deployment, &families);
-  if (!constraints.ok()) return Fail(constraints.status());
-  const bool preflight = !args.GetBool("no-preflight", false);
-
   obs::ExplainOptions options;
   options.enabled = true;
   const std::optional<int> top_edges = args.GetStrictInt(
@@ -1157,35 +1103,11 @@ int Explain(const Args& args) {
     return Fail("--explain-top-edges must be a positive integer");
   }
   options.top_edges = static_cast<std::size_t>(*top_edges);
+  std::optional<CleanInputs> inputs =
+      LoadCleanInputs(args, args.Get("dir", "."), *building);
+  if (!inputs.has_value()) return 1;
   obs::StartExplain(options);
-
-  AprioriModel apriori(*building, deployment.grid, deployment.calibrated);
-  if (HasMultiTagReadings(dir)) {
-    std::ifstream is(dir + "/readings.csv");
-    if (!is) return Fail("cannot open readings.csv");
-    Result<std::vector<TagReadings>> tags = ReadMultiTagReadingsCsv(is);
-    if (!tags.ok()) return Fail(tags.status());
-    std::vector<TagWorkload> workloads;
-    workloads.reserve(tags.value().size());
-    for (const TagReadings& tag : tags.value()) {
-      workloads.push_back(TagWorkload{
-          tag.tag, LSequence::FromReadings(tag.readings, apriori)});
-    }
-    BatchOptions batch;
-    batch.jobs = *jobs;
-    batch.preflight = preflight;
-    BatchCleaner cleaner(constraints.value(), batch);
-    (void)cleaner.CleanAll(workloads);
-  } else {
-    Result<RSequence> readings = LoadReadings(dir);
-    if (!readings.ok()) return Fail(readings.status());
-    LSequence sequence =
-        LSequence::FromReadings(readings.value(), apriori);
-    CleanOptions build_options;
-    build_options.preflight = preflight;
-    CtGraphBuilder builder(constraints.value(), build_options);
-    (void)builder.Build(sequence);
-  }
+  (void)CleanWorkloads(*inputs);
 
   const obs::ExplainCollection collection = obs::CollectExplain();
   obs::StopExplain();
