@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -64,20 +63,15 @@ std::uint64_t DigestOutcomes(const std::vector<TagOutcome>& outcomes) {
   return hash;
 }
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
 int Main(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
-  const char* tags_arg = FlagValue(argc, argv, "--tags");
-  const char* ticks_arg = FlagValue(argc, argv, "--ticks");
-  const char* seed_arg = FlagValue(argc, argv, "--seed");
-  const char* jobs_arg = FlagValue(argc, argv, "--jobs");
-  const char* out_arg = FlagValue(argc, argv, "--out");
+  const BenchArgs args(argc, argv,
+                       {"--tags", "--ticks", "--seed", "--jobs", "--out"});
+  const BenchScale scale = BenchScale::FromArgs(args);
+  const char* tags_arg = args.Value("--tags");
+  const char* ticks_arg = args.Value("--ticks");
+  const char* seed_arg = args.Value("--seed");
+  const char* jobs_arg = args.Value("--jobs");
+  const char* out_arg = args.Value("--out");
   const int num_tags =
       tags_arg != nullptr ? std::atoi(tags_arg) : (scale.paper ? 128 : 32);
   const Timestamp ticks = static_cast<Timestamp>(

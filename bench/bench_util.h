@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -23,6 +25,71 @@
 
 namespace rfidclean::bench {
 
+/// Command line of a bench binary, checked before anything runs: `--help`
+/// prints the accepted flags and exits 0, and an unknown argument or a value
+/// flag without its value exits 2, so a typo never starts a (possibly
+/// multi-GiB) run or overwrites a BENCH_*.json. Every bench accepts
+/// `--paper` (BenchScale).
+class BenchArgs {
+ public:
+  /// `value_flags` take one argument (`--ticks 100,1000`); `switches` none.
+  BenchArgs(int argc, char** argv,
+            std::initializer_list<const char*> value_flags = {},
+            std::initializer_list<const char*> switches = {}) {
+    std::vector<const char*> bare = {"--paper"};
+    bare.insert(bare.end(), switches.begin(), switches.end());
+    const auto listed = [](const std::vector<const char*>& names,
+                           const char* arg) {
+      for (const char* name : names) {
+        if (std::strcmp(name, arg) == 0) return true;
+      }
+      return false;
+    };
+    const std::vector<const char*> valued(value_flags);
+    const auto usage = [&](std::FILE* out) {
+      std::fprintf(out, "usage: %s", argv[0]);
+      for (const char* name : valued) std::fprintf(out, " [%s V]", name);
+      for (const char* name : bare) std::fprintf(out, " [%s]", name);
+      std::fprintf(out, "\n");
+    };
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
+        usage(stdout);
+        std::exit(0);
+      }
+      if (listed(bare, arg)) {
+        given_.emplace_back(arg, nullptr);
+      } else if (listed(valued, arg) && i + 1 < argc) {
+        given_.emplace_back(arg, argv[++i]);
+      } else {
+        std::fprintf(stderr, "%s: %s %s\n", argv[0],
+                     listed(valued, arg) ? "missing value for" : "unknown flag",
+                     arg);
+        usage(stderr);
+        std::exit(2);
+      }
+    }
+  }
+
+  /// The value given for `name` (its first occurrence), or nullptr.
+  const char* Value(const char* name) const {
+    for (const auto& [flag, value] : given_) {
+      if (flag == name) return value;
+    }
+    return nullptr;
+  }
+  bool Has(const char* name) const {
+    for (const auto& given : given_) {
+      if (given.first == name) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::vector<std::pair<std::string, const char*>> given_;
+};
+
 /// Workload scale of a figure bench. Quick mode (the default) keeps the
 /// paper's durations (10/60/90/120 min) but averages over 2 trajectories
 /// per (dataset, duration) cell instead of 25, so the full suite completes
@@ -31,14 +98,16 @@ namespace rfidclean::bench {
 struct BenchScale {
   bool paper = false;
 
-  static BenchScale FromArgs(int argc, char** argv) {
+  static BenchScale FromArgs(const BenchArgs& args) {
     BenchScale scale;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--paper") == 0) scale.paper = true;
-    }
+    scale.paper = args.Has("--paper");
     const char* env = std::getenv("RFIDCLEAN_BENCH_MODE");
     if (env != nullptr && std::strcmp(env, "paper") == 0) scale.paper = true;
     return scale;
+  }
+  /// For benches whose only flag is --paper.
+  static BenchScale FromArgs(int argc, char** argv) {
+    return FromArgs(BenchArgs(argc, argv));
   }
 
   int TrajectoriesPerDuration() const { return paper ? 25 : 2; }

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -59,20 +58,6 @@ std::uint64_t Fnv1a(std::uint64_t hash, const std::string& text) {
     hash *= 0x100000001b3ULL;
   }
   return hash;
-}
-
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 /// Sparse-feed variant of an item's l-sequence: an exact ground-truth
@@ -258,18 +243,22 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
 }
 
 int Main(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
-  const char* ticks_arg = FlagValue(argc, argv, "--ticks");
-  const char* reps_arg = FlagValue(argc, argv, "--reps");
-  const char* seed_arg = FlagValue(argc, argv, "--seed");
-  const char* out_arg = FlagValue(argc, argv, "--out");
-  const char* trace_arg = FlagValue(argc, argv, "--trace");
-  const char* explain_arg = FlagValue(argc, argv, "--explain");
-  const char* threads_arg = FlagValue(argc, argv, "--forward-threads");
-  const bool sparse = HasFlag(argc, argv, "--sparse");
+  const BenchArgs args(argc, argv,
+                       {"--ticks", "--reps", "--seed", "--out", "--trace",
+                        "--explain", "--forward-threads"},
+                       {"--sparse", "--force-scalar"});
+  const BenchScale scale = BenchScale::FromArgs(args);
+  const char* ticks_arg = args.Value("--ticks");
+  const char* reps_arg = args.Value("--reps");
+  const char* seed_arg = args.Value("--seed");
+  const char* out_arg = args.Value("--out");
+  const char* trace_arg = args.Value("--trace");
+  const char* explain_arg = args.Value("--explain");
+  const char* threads_arg = args.Value("--forward-threads");
+  const bool sparse = args.Has("--sparse");
   // A/B hook for the SIMD win: --force-scalar routes every dispatched
   // kernel through the scalar reference (digests must not move).
-  if (HasFlag(argc, argv, "--force-scalar")) {
+  if (args.Has("--force-scalar")) {
     simd::ForceScalarForTesting(true);
   }
   const std::uint64_t seed = static_cast<std::uint64_t>(

@@ -9,10 +9,10 @@
 //   * the blob must be at most half the text serialization's bytes, and
 //   * the mmap load must be at least 10x faster than rebuilding.
 //
-// The perf points double as a differential suite: the zero-copy view must
-// produce the same FNV digest, bit-identical node marginals and the
-// bit-identical most-likely trajectory as the owning CtGraph it was encoded
-// from, and Materialize() must round-trip to the same text bytes.
+// The perf points double as a differential suite: the graph mapped from the
+// store must produce the same FNV digest, bit-identical node marginals, the
+// bit-identical most-likely trajectory and the same text bytes as the built
+// CtGraph it was encoded from.
 //
 //   store_roundtrip [--ticks 100,1000,10000] [--reps N] [--seed S]
 //                   [--out BENCH_store.json] [--work FILE.cts] [--paper]
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -36,26 +35,20 @@
 #include "query/marginals.h"
 #include "query/most_likely.h"
 #include "store/ct_store.h"
-#include "store/ctgraph_view.h"
 #include "store/graph_codec.h"
 
 namespace rfidclean::bench {
 namespace {
 
-const char* FlagValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
 int Main(int argc, char** argv) {
-  const BenchScale scale = BenchScale::FromArgs(argc, argv);
-  const char* ticks_arg = FlagValue(argc, argv, "--ticks");
-  const char* reps_arg = FlagValue(argc, argv, "--reps");
-  const char* seed_arg = FlagValue(argc, argv, "--seed");
-  const char* out_arg = FlagValue(argc, argv, "--out");
-  const char* work_arg = FlagValue(argc, argv, "--work");
+  const BenchArgs args(argc, argv,
+                       {"--ticks", "--reps", "--seed", "--out", "--work"});
+  const BenchScale scale = BenchScale::FromArgs(args);
+  const char* ticks_arg = args.Value("--ticks");
+  const char* reps_arg = args.Value("--reps");
+  const char* seed_arg = args.Value("--seed");
+  const char* out_arg = args.Value("--out");
+  const char* work_arg = args.Value("--work");
   const std::uint64_t seed = static_cast<std::uint64_t>(
       seed_arg != nullptr ? std::atoll(seed_arg) : 1);
   const std::string out = out_arg != nullptr ? out_arg : "BENCH_store.json";
@@ -141,7 +134,7 @@ int Main(int argc, char** argv) {
       Stopwatch watch;
       Result<store::CtStoreReader> reader = store::CtStoreReader::Open(work);
       RFID_CHECK(reader.ok());
-      Result<store::CtGraphView> view = reader.value().LoadView(ticks);
+      Result<CtGraph> view = reader.value().LoadView(ticks);
       load_millis.push_back(watch.ElapsedMillis());
       RFID_CHECK(view.ok());
     }
@@ -153,27 +146,24 @@ int Main(int argc, char** argv) {
     WriteCtGraph(graph.value(), text_os);
     const std::size_t text_bytes = text_os.str().size();
 
-    // Differential pass: the zero-copy view must be indistinguishable from
-    // the owning graph for every query the repo ships.
+    // Differential pass: the mapped graph must be indistinguishable from
+    // the built one for every query the repo ships.
     {
       Result<store::CtStoreReader> reader = store::CtStoreReader::Open(work);
       RFID_CHECK(reader.ok());
-      Result<store::CtGraphView> view = reader.value().LoadView(ticks);
+      Result<CtGraph> view = reader.value().LoadView(ticks);
       RFID_CHECK(view.ok());
       RFID_CHECK_EQ(view.value().Digest(), graph.value().Digest());
-      RFID_CHECK(NodeMarginalsOf(view.value()) ==
+      RFID_CHECK(NodeMarginals(view.value()) ==
                  NodeMarginals(graph.value()));
-      const auto [view_path, view_prob] =
-          MostLikelyTrajectoryOf(view.value());
+      const auto [view_path, view_prob] = MostLikelyTrajectory(view.value());
       const auto [graph_path, graph_prob] =
           MostLikelyTrajectory(graph.value());
       RFID_CHECK(view_path == graph_path);
       RFID_CHECK_EQ(view_prob, graph_prob);
-      Result<CtGraph> copy = view.value().Materialize();
-      RFID_CHECK(copy.ok());
-      std::ostringstream copy_os;
-      WriteCtGraph(copy.value(), copy_os);
-      RFID_CHECK(copy_os.str() == text_os.str());
+      std::ostringstream view_os;
+      WriteCtGraph(view.value(), view_os);
+      RFID_CHECK(view_os.str() == text_os.str());
     }
 
     std::sort(build_millis.begin(), build_millis.end());

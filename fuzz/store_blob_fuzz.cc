@@ -1,11 +1,11 @@
 // Fuzz surface: the binary ct-graph blob readers (store/blob_layout.h and
-// everything funneling through it — the materializing decoder and the
-// zero-copy view). The input is arbitrary bytes standing in for a mapped
-// blob; every parse path must return a diagnostic Result, never crash,
-// RFID_CHECK, or read out of bounds (run under asan+ubsan). On inputs that
-// do parse, cross-path invariants are asserted: the verification tiers
-// must be consistent with each other and a decoded graph must re-encode to
-// the exact input bytes (the v1 encoding is canonical).
+// every CtGraph load funneling through it, at both verification tiers). The
+// input is arbitrary bytes standing in for a mapped blob; every parse path
+// must return a diagnostic Result, never crash, RFID_CHECK, or read out of
+// bounds (run under asan+ubsan). On inputs that do parse, cross-path
+// invariants are asserted: the verification tiers must be consistent with
+// each other and a loaded graph must re-encode to the exact input bytes
+// (the v1 encoding is canonical).
 
 #include <cstddef>
 #include <cstdint>
@@ -14,10 +14,8 @@
 
 #include "common/check.h"
 #include "store/blob_layout.h"
-#include "store/ctgraph_view.h"
 #include "store/graph_codec.h"
 
-using rfidclean::store::CtGraphView;
 using rfidclean::store::MapVerify;
 using rfidclean::store::SectionChecks;
 
@@ -35,16 +33,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Inspection checks header + table only; any fully parsed blob inspects.
   if (geometry.ok()) RFID_CHECK(info.ok());
 
-  const auto decoded = store::DecodeCtGraphBlob(data, size);
-  const auto view = CtGraphView::Map(data, size, MapVerify::kFull);
-  // The materializing decoder and the fully-verifying view run the same
+  const auto structural =
+      store::DecodeCtGraphBlob(data, size, MapVerify::kStructural);
+  const auto full = store::DecodeCtGraphBlob(data, size, MapVerify::kFull);
+  const auto owned = store::DecodeCtGraphBlob(
+      std::string(reinterpret_cast<const char*>(data), size),
+      MapVerify::kFull);
+  // A structural load is exactly the geometry-tier parse; a full load only
+  // adds checks on top of it.
+  RFID_CHECK_EQ(structural.ok(), geometry.ok());
+  if (full.ok()) RFID_CHECK(structural.ok());
+  // A graph aliasing the input and one owning a copy of it run the same
   // checks over the same bytes; they must agree on validity and content.
-  RFID_CHECK_EQ(decoded.ok(), view.ok());
-  if (decoded.ok()) {
-    RFID_CHECK_EQ(decoded.value().Digest(), view.value().Digest());
-    // Canonical encoding: decode -> encode reproduces the input blob.
+  RFID_CHECK_EQ(full.ok(), owned.ok());
+  if (full.ok()) {
+    RFID_CHECK_EQ(full.value().Digest(), owned.value().Digest());
+    RFID_CHECK_EQ(full.value().Digest(), structural.value().Digest());
+    // Canonical encoding: load -> encode reproduces the input blob.
     const std::string reencoded = store::EncodeCtGraphBlob(
-        decoded.value(), info.value().header.tag,
+        full.value(), info.value().header.tag,
         store::GraphProvenance{info.value().header.input_digest,
                                info.value().header.constraint_digest});
     RFID_CHECK_EQ(reencoded.size(), size);

@@ -14,7 +14,7 @@ namespace {
 
 using internal_audit::AppendViolation;
 
-bool EdgeTargetInRange(const CtGraph& graph, const CtGraph::Edge& edge) {
+bool EdgeTargetInRange(const CtGraph& graph, const CtEdge& edge) {
   return edge.to >= 0 &&
          static_cast<std::size_t>(edge.to) < graph.NumNodes();
 }
@@ -23,27 +23,27 @@ bool EdgeTargetInRange(const CtGraph& graph, const CtGraph::Edge& edge) {
 /// and advance the timestamp by exactly one.
 void AuditEdges(const CtGraph& graph, const AuditOptions& options,
                 AuditReport* report) {
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const CtGraph::Node& node = graph.node(id);
-    for (const CtGraph::Edge& edge : node.out_edges) {
-      ++report->edges_checked;
-      if (!EdgeTargetInRange(graph, edge)) {
-        AppendViolation(
-            options, report,
-            AuditViolation{AuditCheck::kEdgeTargetRange, id, node.time,
-                           StrFormat("edge targets unknown node %d",
-                                     edge.to)});
-        continue;
-      }
-      const Timestamp to_time = graph.node(edge.to).time;
-      if (to_time != node.time + 1) {
-        AppendViolation(
-            options, report,
-            AuditViolation{AuditCheck::kLayering, id, node.time,
-                           StrFormat("edge to node %d jumps t=%d -> t=%d "
-                                     "instead of advancing by one",
-                                     edge.to, node.time, to_time)});
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      for (const CtEdge edge : graph.OutEdges(id)) {
+        ++report->edges_checked;
+        if (!EdgeTargetInRange(graph, edge)) {
+          AppendViolation(
+              options, report,
+              AuditViolation{AuditCheck::kEdgeTargetRange, id, t,
+                             StrFormat("edge targets unknown node %d",
+                                       edge.to)});
+          continue;
+        }
+        const Timestamp to_time = graph.TimeOf(edge.to);
+        if (to_time != t + 1) {
+          AppendViolation(
+              options, report,
+              AuditViolation{AuditCheck::kLayering, id, t,
+                             StrFormat("edge to node %d jumps t=%d -> t=%d "
+                                       "instead of advancing by one",
+                                       edge.to, t, to_time)});
+        }
       }
     }
   }
@@ -56,8 +56,7 @@ void AuditAcyclicity(const CtGraph& graph, const AuditOptions& options,
                      AuditReport* report) {
   std::vector<std::size_t> in_degree(graph.NumNodes(), 0);
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge : graph.node(static_cast<NodeId>(i))
-                                         .out_edges) {
+    for (const CtEdge edge : graph.OutEdges(static_cast<NodeId>(i))) {
       if (EdgeTargetInRange(graph, edge)) {
         ++in_degree[static_cast<std::size_t>(edge.to)];
       }
@@ -72,7 +71,7 @@ void AuditAcyclicity(const CtGraph& graph, const AuditOptions& options,
     const NodeId id = ready.back();
     ready.pop_back();
     ++processed;
-    for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+    for (const CtEdge edge : graph.OutEdges(id)) {
       if (!EdgeTargetInRange(graph, edge)) continue;
       if (--in_degree[static_cast<std::size_t>(edge.to)] == 0) {
         ready.push_back(edge.to);
@@ -94,7 +93,7 @@ void AuditAcyclicity(const CtGraph& graph, const AuditOptions& options,
         AuditViolation{
             AuditCheck::kAcyclicity, witness,
             witness == kInvalidNode ? Timestamp{-1}
-                                    : graph.node(witness).time,
+                                    : graph.TimeOf(witness),
             StrFormat("topological sort stuck with %zu of %zu nodes "
                       "unprocessed (cycle)",
                       graph.NumNodes() - processed, graph.NumNodes())});
@@ -111,22 +110,23 @@ void AuditLayers(const CtGraph& graph, const AuditOptions& options,
                                      kInvalidNode, t, "layer has no nodes"});
     }
   }
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const CtGraph::Node& node = graph.node(id);
-    const bool is_target = node.time == graph.length() - 1;
-    if (is_target && !node.out_edges.empty()) {
-      AppendViolation(
-          options, report,
-          AuditViolation{AuditCheck::kTermination, id, node.time,
-                         StrFormat("target node has %zu outgoing edge(s)",
-                                   node.out_edges.size())});
-    } else if (!is_target && node.out_edges.empty()) {
-      AppendViolation(
-          options, report,
-          AuditViolation{AuditCheck::kTermination, id, node.time,
-                         "non-target node has no outgoing edge (dead "
-                         "branch not pruned)"});
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    const bool is_target = t == graph.length() - 1;
+    for (NodeId id : graph.NodesAt(t)) {
+      const std::size_t out_degree = graph.OutEdges(id).size();
+      if (is_target && out_degree != 0) {
+        AppendViolation(
+            options, report,
+            AuditViolation{AuditCheck::kTermination, id, t,
+                           StrFormat("target node has %zu outgoing edge(s)",
+                                     out_degree)});
+      } else if (!is_target && out_degree == 0) {
+        AppendViolation(
+            options, report,
+            AuditViolation{AuditCheck::kTermination, id, t,
+                           "non-target node has no outgoing edge (dead "
+                           "branch not pruned)"});
+      }
     }
   }
 }
@@ -146,7 +146,7 @@ void AuditReachability(const CtGraph& graph, const AuditOptions& options,
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+    for (const CtEdge edge : graph.OutEdges(id)) {
       if (!EdgeTargetInRange(graph, edge)) continue;
       if (!forward[static_cast<std::size_t>(edge.to)]) {
         forward[static_cast<std::size_t>(edge.to)] = true;
@@ -158,8 +158,7 @@ void AuditReachability(const CtGraph& graph, const AuditOptions& options,
   // Backward sweep needs the reverse adjacency once.
   std::vector<std::vector<NodeId>> reverse(graph.NumNodes());
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge : graph.node(static_cast<NodeId>(i))
-                                         .out_edges) {
+    for (const CtEdge edge : graph.OutEdges(static_cast<NodeId>(i))) {
       if (EdgeTargetInRange(graph, edge)) {
         reverse[static_cast<std::size_t>(edge.to)].push_back(
             static_cast<NodeId>(i));
@@ -192,7 +191,7 @@ void AuditReachability(const CtGraph& graph, const AuditOptions& options,
                            : "node reaches no target");
     AppendViolation(options, report,
                     AuditViolation{AuditCheck::kReachability, id,
-                                   graph.node(id).time, reason});
+                                   graph.TimeOf(id), reason});
   }
 }
 

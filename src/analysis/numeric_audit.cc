@@ -13,7 +13,7 @@ namespace {
 
 using internal_audit::AppendViolation;
 
-bool TargetInRange(const CtGraph& graph, const CtGraph::Edge& edge) {
+bool TargetInRange(const CtGraph& graph, const CtEdge& edge) {
   return edge.to >= 0 &&
          static_cast<std::size_t>(edge.to) < graph.NumNodes();
 }
@@ -55,7 +55,7 @@ double TotalPathMass(const CtGraph& graph) {
   for (Timestamp t = graph.length() - 2; t >= 0; --t) {
     for (NodeId id : graph.NodesAt(t)) {
       double mass = 0.0;
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+      for (const CtEdge edge : graph.OutEdges(id)) {
         if (!TargetInRange(graph, edge)) continue;
         mass += edge.probability * suffix[static_cast<std::size_t>(edge.to)];
       }
@@ -64,7 +64,7 @@ double TotalPathMass(const CtGraph& graph) {
   }
   double total = 0.0;
   for (NodeId id : graph.SourceNodes()) {
-    total += graph.node(id).source_probability *
+    total += graph.SourceProbability(id) *
              suffix[static_cast<std::size_t>(id)];
   }
   return total;
@@ -76,11 +76,10 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
 
   double source_sum = 0.0;
   for (NodeId id : graph.SourceNodes()) {
-    const CtGraph::Node& node = graph.node(id);
-    CheckProbability(node.source_probability,
-                     AuditCheck::kFiniteProbabilities, id, node.time,
-                     "source", options, report);
-    source_sum += node.source_probability;
+    const double p = graph.SourceProbability(id);
+    CheckProbability(p, AuditCheck::kFiniteProbabilities, id, 0, "source",
+                     options, report);
+    source_sum += p;
   }
   if (!ApproxOne(source_sum, options.epsilon)) {
     AppendViolation(
@@ -90,26 +89,27 @@ void AuditNumerics(const CtGraph& graph, const AuditOptions& options,
                                  source_sum)});
   }
 
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeId id = static_cast<NodeId>(i);
-    const CtGraph::Node& node = graph.node(id);
-    if (node.out_edges.empty()) continue;
-    double out_sum = 0.0;
-    bool finite = true;
-    for (const CtGraph::Edge& edge : node.out_edges) {
-      finite &= CheckProbability(edge.probability,
-                                 AuditCheck::kFiniteProbabilities, id,
-                                 node.time, "edge", options, report);
-      out_sum += edge.probability;
-    }
-    // A broken summand already produced a finite-probabilities violation;
-    // reporting the (necessarily broken) sum on top would be noise.
-    if (finite && !ApproxOne(out_sum, options.epsilon)) {
-      AppendViolation(
-          options, report,
-          AuditViolation{AuditCheck::kEdgeNormalization, id, node.time,
-                         StrFormat("outgoing probabilities sum to %.12f",
-                                   out_sum)});
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      const EdgeRange edges = graph.OutEdges(id);
+      if (edges.empty()) continue;
+      double out_sum = 0.0;
+      bool finite = true;
+      for (const CtEdge edge : edges) {
+        finite &= CheckProbability(edge.probability,
+                                   AuditCheck::kFiniteProbabilities, id, t,
+                                   "edge", options, report);
+        out_sum += edge.probability;
+      }
+      // A broken summand already produced a finite-probabilities violation;
+      // reporting the (necessarily broken) sum on top would be noise.
+      if (finite && !ApproxOne(out_sum, options.epsilon)) {
+        AppendViolation(
+            options, report,
+            AuditViolation{AuditCheck::kEdgeNormalization, id, t,
+                           StrFormat("outgoing probabilities sum to %.12f",
+                                     out_sum)});
+      }
     }
   }
 

@@ -858,51 +858,53 @@ Result<CtGraph> ConditionAndCompact(WorkGraph&& work, BuildStats* stats,
           ? static_cast<std::uint64_t>(stranded_mass * 1e9)
           : 0u;
   obs::ObserveValue(obs::Dist::kMassLostCompactionPpb, compaction_ppb);
-  std::vector<CtGraph::Node> compact;
-  compact.reserve(survivors);
+  // The survivors, in work order (already layer order), are written
+  // straight into the graph's sections. A first pass numbers them and counts
+  // sources and live edges so the writer sizes every array exactly.
   std::vector<NodeId> remap(nodes.size(), kInvalidNode);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const WorkNode& node = nodes[i];
-    if (!node.alive || !reachable[i]) continue;
-    remap[i] = static_cast<NodeId>(compact.size());
-    CtGraph::Node out;
-    out.time = node.time;
-    out.key = work.keys.key(node.key_id);
-    out.source_probability =
-        node.time == 0 ? node.source_probability / source_mass : 0.0;
-    compact.push_back(std::move(out));
+  std::size_t num_sources = 0;
+  {
+    NodeId next = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (!nodes[i].alive || !reachable[i]) continue;
+      remap[i] = next++;
+      if (nodes[i].time == 0) ++num_sources;
+    }
   }
-  std::size_t live_edges_total = 0;  // trace arg only
+  const auto live = [&remap](const WorkEdge& edge) {
+    return edge.probability > 0.0 &&
+           remap[static_cast<std::size_t>(edge.to)] != kInvalidNode;
+  };
+  std::size_t live_edges_total = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId from = remap[i];
-    if (from == kInvalidNode) continue;
+    if (remap[i] == kInvalidNode) continue;
+    const WorkEdge* out =
+        edges.data() + static_cast<std::size_t>(nodes[i].edge_begin);
+    for (std::int32_t k = 0; k < nodes[i].edge_count; ++k) {
+      if (live(out[k])) ++live_edges_total;
+    }
+  }
+  CtGraphWriter writer(length, survivors, num_sources, live_edges_total);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (remap[i] == kInvalidNode) continue;
     const WorkNode& node = nodes[i];
+    writer.AddNode(node.time, work.keys.key(node.key_id),
+                   node.time == 0 ? node.source_probability / source_mass
+                                  : 0.0);
     const WorkEdge* out =
         edges.data() + static_cast<std::size_t>(node.edge_begin);
-    // Count first so each out_edges vector is allocated exactly once (the
-    // slice is hot in cache for the second pass).
-    std::size_t live = 0;
     for (std::int32_t k = 0; k < node.edge_count; ++k) {
-      if (out[k].probability > 0.0 &&
-          remap[static_cast<std::size_t>(out[k].to)] != kInvalidNode) {
-        ++live;
+      if (live(out[k])) {
+        writer.AddEdge(remap[static_cast<std::size_t>(out[k].to)],
+                       out[k].probability);
       }
-    }
-    live_edges_total += live;
-    std::vector<CtGraph::Edge>& out_edges =
-        compact[static_cast<std::size_t>(from)].out_edges;
-    out_edges.reserve(live);
-    for (std::int32_t k = 0; k < node.edge_count; ++k) {
-      if (out[k].probability <= 0.0) continue;
-      const NodeId to = remap[static_cast<std::size_t>(out[k].to)];
-      if (to == kInvalidNode) continue;
-      out_edges.push_back(CtGraph::Edge{to, out[k].probability});
     }
   }
   compact_span.AddArg("nodes", static_cast<std::uint64_t>(survivors));
   compact_span.AddArg("edges", static_cast<std::uint64_t>(live_edges_total));
-  Result<CtGraph> graph = CtGraph::Assemble(std::move(compact), length);
-  RFID_CHECK(graph.ok());  // Construction invariants guarantee validity.
+  Result<CtGraph> graph = std::move(writer).Finish();
+  // Construction invariants guarantee validity.
+  RFID_CHECK(graph.value().CheckConsistency().ok());
   if (stats != nullptr) {
     stats->backward_millis = stopwatch.ElapsedMillis();
     stats->final_nodes = graph.value().NumNodes();

@@ -39,20 +39,20 @@ bool ParseDouble(const std::string& text, double* out) {
 
 void WriteCtGraph(const CtGraph& graph, std::ostream& os) {
   os << StrFormat("ctgraph %d %zu\n", graph.length(), graph.NumNodes());
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    os << StrFormat("node %zu %d %d %d %.17g", i, node.time,
-                    node.key.location, node.key.delta,
-                    node.source_probability);
-    node.key.departures.ForEach([&os](const Departure& d) {
-      os << StrFormat(" %d,%d", d.time, d.location);
-    });
-    os << '\n';
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      os << StrFormat("node %d %d %d %d %.17g", id, t, graph.LocationOf(id),
+                      graph.DeltaOf(id), graph.SourceProbability(id));
+      for (const Departure& d : graph.DeparturesOf(id)) {
+        os << StrFormat(" %d,%d", d.time, d.location);
+      }
+      os << '\n';
+    }
   }
   for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    for (const CtGraph::Edge& edge :
-         graph.node(static_cast<NodeId>(i)).out_edges) {
-      os << StrFormat("edge %zu %d %.17g\n", i, edge.to, edge.probability);
+    const NodeId id = static_cast<NodeId>(i);
+    for (const CtEdge edge : graph.OutEdges(id)) {
+      os << StrFormat("edge %d %d %.17g\n", id, edge.to, edge.probability);
     }
   }
 }

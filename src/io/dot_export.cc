@@ -23,19 +23,19 @@ void WriteDot(const CtGraph& graph, std::ostream& os,
     }
     os << " }\n";
   }
-  for (std::size_t i = 0; i < limit; ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    std::string label =
-        StrFormat("t=%d\\n%s", node.time,
-                  name_of(node.key.location).c_str());
-    if (node.time == 0) {
-      label += StrFormat("\\np=%.3f", node.source_probability);
+  for (Timestamp t = 0; t < graph.length(); ++t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      if (static_cast<std::size_t>(id) >= limit) break;
+      std::string label =
+          StrFormat("t=%d\\n%s", t, name_of(graph.LocationOf(id)).c_str());
+      if (t == 0) {
+        label += StrFormat("\\np=%.3f", graph.SourceProbability(id));
+      }
+      os << "  n" << id << " [label=\"" << label << "\"];\n";
     }
-    os << "  n" << i << " [label=\"" << label << "\"];\n";
   }
   for (std::size_t i = 0; i < limit; ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    for (const CtGraph::Edge& edge : node.out_edges) {
+    for (const CtEdge edge : graph.OutEdges(static_cast<NodeId>(i))) {
       if (static_cast<std::size_t>(edge.to) >= limit) continue;
       os << "  n" << i << " -> n" << edge.to
          << StrFormat(" [label=\"%.3f\"];\n", edge.probability);

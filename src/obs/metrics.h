@@ -73,7 +73,7 @@ enum class Counter : std::uint8_t {
   // Persistent ct-store (store/graph_codec.cc, store/ct_store.cc).
   kStoreBlobsEncoded,  ///< ct-graph blobs serialized to the binary format
   kStoreBytesEncoded,  ///< blob bytes produced by the encoder
-  kStoreBlobsDecoded,  ///< blobs parsed back (materialized or mapped views)
+  kStoreBlobsDecoded,  ///< blobs parsed back into a CtGraph
   kStoreBytesDecoded,  ///< blob bytes parsed and checksum-verified
   kStoreCrcFailures,   ///< blobs/sections rejected on a checksum mismatch
 

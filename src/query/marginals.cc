@@ -1,9 +1,24 @@
 #include "query/marginals.h"
 
+#include <cstddef>
+
 namespace rfidclean {
 
 std::vector<double> NodeMarginals(const CtGraph& graph) {
-  return NodeMarginalsOf(graph);
+  std::vector<double> alpha(graph.NumNodes(), 0.0);
+  for (NodeId id : graph.SourceNodes()) {
+    alpha[static_cast<std::size_t>(id)] = graph.SourceProbability(id);
+  }
+  for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
+    for (NodeId id : graph.NodesAt(t)) {
+      double mass = alpha[static_cast<std::size_t>(id)];
+      if (mass == 0.0) continue;
+      for (const CtEdge edge : graph.OutEdges(id)) {
+        alpha[static_cast<std::size_t>(edge.to)] += mass * edge.probability;
+      }
+    }
+  }
+  return alpha;
 }
 
 }  // namespace rfidclean

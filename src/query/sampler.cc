@@ -24,20 +24,19 @@ std::size_t Pick(const Container& entries, Prob prob, Rng& rng) {
 TrajectorySampler::TrajectorySampler(const CtGraph& graph) : graph_(&graph) {}
 
 Trajectory TrajectorySampler::Sample(Rng& rng) const {
-  const std::vector<NodeId>& sources = graph_->SourceNodes();
+  const IdRange sources = graph_->SourceNodes();
   std::size_t pick = Pick(
-      sources,
-      [this](NodeId id) { return graph_->node(id).source_probability; }, rng);
+      sources, [this](NodeId id) { return graph_->SourceProbability(id); },
+      rng);
   NodeId current = sources[pick];
   Trajectory trajectory;
-  trajectory.Append(graph_->node(current).key.location);
-  while (graph_->node(current).time + 1 < graph_->length()) {
-    const auto& edges = graph_->node(current).out_edges;
+  trajectory.Append(graph_->LocationOf(current));
+  for (Timestamp t = 1; t < graph_->length(); ++t) {
+    const EdgeRange edges = graph_->OutEdges(current);
     std::size_t e = Pick(
-        edges, [](const CtGraph::Edge& edge) { return edge.probability; },
-        rng);
+        edges, [](const CtEdge edge) { return edge.probability; }, rng);
     current = edges[e].to;
-    trajectory.Append(graph_->node(current).key.location);
+    trajectory.Append(graph_->LocationOf(current));
   }
   return trajectory;
 }

@@ -1,9 +1,43 @@
 #include "query/stay_query.h"
 
+#include <algorithm>
+#include <cstddef>
+
+#include "query/marginals.h"
+
 namespace rfidclean {
 
-// The CtGraph instantiation most callers use; keeps its code out of every
-// including TU.
-template class StayQueryEvaluatorT<CtGraph>;
+StayQueryEvaluator::StayQueryEvaluator(const CtGraph& graph)
+    : graph_(&graph), marginals_(NodeMarginals(graph)) {}
+
+std::vector<std::pair<LocationId, double>> StayQueryEvaluator::Evaluate(
+    Timestamp t) const {
+  std::vector<std::pair<LocationId, double>> answer;
+  for (NodeId id : graph_->NodesAt(t)) {
+    LocationId location = graph_->LocationOf(id);
+    double mass = marginals_[static_cast<std::size_t>(id)];
+    auto it = std::find_if(answer.begin(), answer.end(),
+                           [location](const auto& entry) {
+                             return entry.first == location;
+                           });
+    if (it == answer.end()) {
+      answer.emplace_back(location, mass);
+    } else {
+      it->second += mass;
+    }
+  }
+  return answer;
+}
+
+double StayQueryEvaluator::Probability(Timestamp t,
+                                       LocationId location) const {
+  double mass = 0.0;
+  for (NodeId id : graph_->NodesAt(t)) {
+    if (graph_->LocationOf(id) == location) {
+      mass += marginals_[static_cast<std::size_t>(id)];
+    }
+  }
+  return mass;
+}
 
 }  // namespace rfidclean

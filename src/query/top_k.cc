@@ -30,15 +30,14 @@ std::vector<std::pair<Trajectory, double>> TopKTrajectories(
 
   for (NodeId id : graph.SourceNodes()) {
     best[static_cast<std::size_t>(id)].push_back(
-        Prefix{std::log(graph.node(id).source_probability), kInvalidNode,
-               -1});
+        Prefix{std::log(graph.SourceProbability(id)), kInvalidNode, -1});
   }
   for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
     for (NodeId id : graph.NodesAt(t)) {
       const std::vector<Prefix>& prefixes =
           best[static_cast<std::size_t>(id)];
       if (prefixes.empty()) continue;
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
+      for (const CtEdge edge : graph.OutEdges(id)) {
         std::vector<Prefix>& target =
             best[static_cast<std::size_t>(edge.to)];
         double step = std::log(edge.probability);
@@ -98,7 +97,7 @@ std::vector<std::pair<Trajectory, double>> TopKTrajectories(
     NodeId node = endpoint.node;
     int rank = endpoint.rank;
     while (node != kInvalidNode) {
-      reversed.push_back(graph.node(node).key.location);
+      reversed.push_back(graph.LocationOf(node));
       const Prefix& prefix =
           best[static_cast<std::size_t>(node)][static_cast<std::size_t>(
               rank)];

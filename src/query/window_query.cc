@@ -22,23 +22,21 @@ void CheckWindow(const CtGraph& graph, Timestamp from, Timestamp to) {
 template <typename Allowed>
 double MassOfConstrainedPaths(const CtGraph& graph, Timestamp from,
                               Timestamp to, Allowed allowed) {
+  // Whether a step at time t to `location` keeps a path in the set.
+  const auto admits = [&](Timestamp t, LocationId location) {
+    return t < from || t > to || allowed(location);
+  };
   std::vector<double> alpha(graph.NumNodes(), 0.0);
   for (NodeId id : graph.SourceNodes()) {
-    const CtGraph::Node& node = graph.node(id);
-    bool ok = node.time < from || node.time > to ||
-              allowed(node.key.location);
     alpha[static_cast<std::size_t>(id)] =
-        ok ? node.source_probability : 0.0;
+        admits(0, graph.LocationOf(id)) ? graph.SourceProbability(id) : 0.0;
   }
   for (Timestamp t = 0; t + 1 < graph.length(); ++t) {
     for (NodeId id : graph.NodesAt(t)) {
       double mass = alpha[static_cast<std::size_t>(id)];
       if (mass == 0.0) continue;
-      for (const CtGraph::Edge& edge : graph.node(id).out_edges) {
-        const CtGraph::Node& next = graph.node(edge.to);
-        bool ok = next.time < from || next.time > to ||
-                  allowed(next.key.location);
-        if (ok) {
+      for (const CtEdge edge : graph.OutEdges(id)) {
+        if (admits(t + 1, graph.LocationOf(edge.to))) {
           alpha[static_cast<std::size_t>(edge.to)] +=
               mass * edge.probability;
         }
@@ -70,7 +68,7 @@ double ExpectedTicksAtInWindow(const CtGraph& graph, LocationId location,
   double expected = 0.0;
   for (Timestamp t = from; t <= to; ++t) {
     for (NodeId id : graph.NodesAt(t)) {
-      if (graph.node(id).key.location == location) {
+      if (graph.LocationOf(id) == location) {
         expected += marginals[static_cast<std::size_t>(id)];
       }
     }

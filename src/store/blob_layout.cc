@@ -44,7 +44,7 @@ const char* SectionName(SectionId id) {
 ///   varint(|TL|)
 ///   per TL entry: zigzag(time), zigzag(location - prev_tl_location)
 ///                 (prev_tl_location resets to 0 per node)
-Status DecodeKeys(const ParsedBlob& blob, BlobContents* contents) {
+Status DecodeKeys(const ParsedBlob& blob, CtGraphSections* contents) {
   const unsigned char* cursor = blob.SectionData(SectionId::kKeys);
   const unsigned char* end = cursor + blob.SectionSize(SectionId::kKeys);
   const std::uint64_t num_nodes = blob.header.num_nodes;
@@ -136,8 +136,8 @@ Status DecodeKeys(const ParsedBlob& blob, BlobContents* contents) {
 /// zigzag(to - prev_target) with one running prev_target across the whole
 /// section (init 0). Each target must land in its source node's next
 /// layer, which also proves it is a valid NodeId.
-Result<std::vector<NodeId>> DecodeEdgeTargets(const BlobContents& contents) {
-  const ParsedBlob& blob = contents.parsed;
+Result<std::vector<NodeId>> DecodeEdgeTargets(const ParsedBlob& blob,
+                                              const CtGraphSections& contents) {
   const unsigned char* cursor = blob.SectionData(SectionId::kEdgeTargets);
   const unsigned char* end =
       cursor + blob.SectionSize(SectionId::kEdgeTargets);
@@ -345,6 +345,30 @@ Result<ParsedBlob> ParseAndVerifyBlob(const unsigned char* data,
                      "SRCPROB payload is not a whole number of doubles");
   }
 
+  // The reserved header fields and the padding after each payload are zero
+  // in the only accepted encoding. No payload CRC covers them (the header
+  // CRC covers the reserved fields but is recomputed by any writer), so
+  // they are checked byte by byte.
+  const auto nonzero = [data](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t i = from; i < to; ++i) {
+      if (data[i] != 0) return true;
+    }
+    return false;
+  };
+  if (nonzero(28, 32) || nonzero(72, kBlobHeaderBytes - 4)) {
+    return BlobError("reserved header field", "nonzero (v1 requires zero)");
+  }
+  for (std::uint32_t i = 0; i < kNumSections; ++i) {
+    const SectionEntry& section = blob.sections[i];
+    const std::uint64_t end = section.offset + section.size;
+    if (nonzero(end, AlignUp(end))) {
+      return BlobError(
+          "section padding",
+          StrFormat("nonzero byte after the %s payload",
+                    SectionName(static_cast<SectionId>(i + 1))));
+    }
+  }
+
   for (std::uint32_t i = 0; i < kNumSections; ++i) {
     const SectionId id = static_cast<SectionId>(i + 1);
     if (checks == SectionChecks::kGeometry &&
@@ -366,12 +390,14 @@ Result<BlobContents> ParseBlobContents(const unsigned char* data,
                                        std::size_t size,
                                        SectionChecks checks) {
   obs::PhaseTimer timer(obs::Phase::kStoreDecode);
-  BlobContents contents;
-  RFID_ASSIGN_OR_RETURN(contents.parsed,
-                        ParseAndVerifyBlob(data, size, checks));
-  const ParsedBlob& blob = contents.parsed;
+  BlobContents result;
+  RFID_ASSIGN_OR_RETURN(result.parsed, ParseAndVerifyBlob(data, size, checks));
+  const ParsedBlob& blob = result.parsed;
   const BlobHeader& header = blob.header;
-
+  CtGraphSections& contents = result.sections;
+  contents.length = header.length;
+  contents.num_nodes = header.num_nodes;
+  contents.num_edges = header.num_edges;
   contents.layer_begin = blob.SectionData(SectionId::kLayers);
   contents.edge_rows = blob.SectionData(SectionId::kEdgeRows);
   contents.source_prob = blob.SectionData(SectionId::kSourceProb);
@@ -426,11 +452,12 @@ Result<BlobContents> ParseBlobContents(const unsigned char* data,
   }
 
   RFID_RETURN_IF_ERROR(DecodeKeys(blob, &contents));
-  RFID_ASSIGN_OR_RETURN(contents.edge_targets, DecodeEdgeTargets(contents));
+  RFID_ASSIGN_OR_RETURN(contents.edge_targets,
+                        DecodeEdgeTargets(blob, contents));
 
   obs::Add(obs::Counter::kStoreBlobsDecoded);
   obs::Add(obs::Counter::kStoreBytesDecoded, size);
-  return contents;
+  return result;
 }
 
 }  // namespace rfidclean::store

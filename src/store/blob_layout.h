@@ -11,10 +11,9 @@
 #include "store/format.h"
 
 /// \file
-/// Shared parse-and-verify layer for binary ct-graph blobs. Both decode
-/// paths — materializing (graph_codec.cc) and zero-copy (ctgraph_view.cc) —
-/// funnel through ParseBlobContents, so every byte of a blob is validated
-/// identically no matter how it is consumed. All functions here treat the
+/// Parse-and-verify layer for binary ct-graph blobs: every blob a CtGraph
+/// is loaded from (graph_codec.h) passes ParseBlobContents first, whatever
+/// verification tier the load asks for. All functions here treat the
 /// input as hostile (they are the fuzz surface behind
 /// fuzz/store_blob_fuzz.cc): any malformed byte stream yields a diagnostic
 /// Result, never UB, an RFID_CHECK, or an out-of-bounds read.
@@ -54,9 +53,9 @@ struct ParsedBlob {
 /// section whose bytes feed index arithmetic or decoding — LAYERS, KEYS,
 /// EDGEROWS, EDGETGT — i.e. everything memory safety can depend on; the two
 /// probability payloads (SRCPROB, EDGEPROB) are only ever read as opaque
-/// doubles, so the zero-copy load fast path defers their checksums to the
-/// deep verifiers (CtStoreReader::VerifyAll, MapVerify::kFull), which also
-/// re-derive the graph digest over them. kAll checks all six.
+/// doubles, so the structural load fast path defers their checksums to the
+/// full-verification loads (MapVerify::kFull, CtStoreReader::VerifyAll),
+/// which also re-derive the graph digest over them. kAll checks all six.
 enum class SectionChecks {
   kGeometry,
   kAll,
@@ -70,38 +69,14 @@ Result<ParsedBlob> ParseAndVerifyBlob(
     const unsigned char* data, std::size_t size,
     SectionChecks checks = SectionChecks::kAll);
 
-/// Fully structurally-validated contents of one blob. The fixed-width
-/// sections stay as aliases into the input bytes (read via the
-/// endian-stable Load* codecs, which compile to plain loads on
-/// little-endian hosts); the varint-compressed sections are decoded into
-/// owned vectors. Probability *semantics* (sums to one, reachability) are
-/// not checked here — CtGraph::Assemble and CtGraphView::CheckConsistency
-/// own those.
+/// Fully structurally-validated contents of one blob: its header and the
+/// graph storage it describes. The fixed-width sections alias the input
+/// bytes; the varint-compressed sections are decoded into the flat arrays.
+/// Probability *semantics* (sums to one, reachability) are not checked
+/// here — CtGraph::CheckConsistency owns those.
 struct BlobContents {
   ParsedBlob parsed;
-
-  // Aliased little-endian sections.
-  const unsigned char* layer_begin = nullptr;  // (length + 1) x u32
-  const unsigned char* edge_rows = nullptr;    // (num_nodes + 1) x u32
-  const unsigned char* source_prob = nullptr;  // layer-0 count x double
-  const unsigned char* edge_prob = nullptr;    // num_edges x double
-
-  // Decoded varint sections, flattened into parallel arrays: densely packed
-  // sequential writes keep the decode loop memory-bound-friendly at
-  // multi-hundred-thousand-node scale (per-node NodeKey objects with inline
-  // small-vectors measurably dominated load time).
-  std::vector<LocationId> locations;    // one per node, id order
-  std::vector<Timestamp> deltas;        // one per node, id order
-  std::vector<std::uint32_t> tl_begin;  // num_nodes + 1 offsets into...
-  std::vector<Departure> departures;    // ...concatenated sorted TL lists
-  std::vector<NodeId> edge_targets;  // CSR order, next-layer membership held
-
-  std::uint32_t LayerBegin(std::int32_t t) const {
-    return LoadU32(layer_begin + std::size_t{4} * static_cast<std::size_t>(t));
-  }
-  std::uint32_t EdgeRow(std::uint64_t node) const {
-    return LoadU32(edge_rows + std::size_t{4} * node);
-  }
+  CtGraphSections sections;
 };
 
 /// Runs ParseAndVerifyBlob and then decodes + validates every section:

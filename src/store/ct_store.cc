@@ -222,26 +222,20 @@ const StoreEntry* CtStoreReader::Find(std::int64_t tag) const {
   return it == by_tag_.end() ? nullptr : &entries_[it->second];
 }
 
-Result<CtGraphView> CtStoreReader::LoadView(std::int64_t tag,
-                                            MapVerify verify) const {
-  const StoreEntry* entry = Find(tag);
-  if (entry == nullptr) {
-    return NotFoundError(StrFormat("tag %lld not in store",
-                                   static_cast<long long>(tag)));
-  }
-  return CtGraphView::Map(file_->data() + entry->offset,
-                          static_cast<std::size_t>(entry->size), file_,
-                          verify);
-}
-
-Result<CtGraph> CtStoreReader::LoadGraph(std::int64_t tag) const {
+Result<CtGraph> CtStoreReader::LoadView(std::int64_t tag,
+                                        MapVerify verify) const {
   const StoreEntry* entry = Find(tag);
   if (entry == nullptr) {
     return NotFoundError(StrFormat("tag %lld not in store",
                                    static_cast<long long>(tag)));
   }
   return DecodeCtGraphBlob(file_->data() + entry->offset,
-                           static_cast<std::size_t>(entry->size));
+                           static_cast<std::size_t>(entry->size), verify,
+                           file_);
+}
+
+Result<CtGraph> CtStoreReader::LoadGraph(std::int64_t tag) const {
+  return LoadView(tag, MapVerify::kFull);
 }
 
 Result<std::string> CtStoreReader::ReadBlobBytes(std::int64_t tag) const {
@@ -300,22 +294,13 @@ Status CtStoreReader::VerifyAll() const {
                     "mismatch (stored %08x, computed %08x)",
                     static_cast<long long>(entry.tag), entry.blob_crc, crc));
     }
-    Result<CtGraph> graph =
-        DecodeCtGraphBlob(blob, static_cast<std::size_t>(entry.size));
+    Result<CtGraph> graph = DecodeCtGraphBlob(
+        blob, static_cast<std::size_t>(entry.size), MapVerify::kFull);
     if (!graph.ok()) {
       return InvalidArgumentError(
           StrFormat("tag %lld: check decode: %s",
                     static_cast<long long>(entry.tag),
                     graph.status().message().c_str()));
-    }
-    // The zero-copy path gets the same deep treatment: digest recompute
-    // plus semantic invariants over the mapped bytes (MapVerify::kFull).
-    Result<CtGraphView> view = LoadView(entry.tag, MapVerify::kFull);
-    if (!view.ok()) {
-      return InvalidArgumentError(
-          StrFormat("tag %lld: check view-verify: %s",
-                    static_cast<long long>(entry.tag),
-                    view.status().message().c_str()));
     }
   }
   for (const StoreEntry& entry : explain_entries_) {

@@ -13,8 +13,8 @@
 #include "common/result.h"
 #include "core/ct_graph.h"
 #include "obs/explain.h"
-#include "store/ctgraph_view.h"
 #include "store/format.h"
+#include "store/graph_codec.h"
 #include "store/mmap_file.h"
 
 /// \file
@@ -42,7 +42,7 @@ struct StoreEntry {
 };
 
 /// Read-only access to a ct-store file through one shared mapping; every
-/// loaded view aliases that mapping and keeps it alive.
+/// loaded graph aliases that mapping and keeps it alive.
 class CtStoreReader {
  public:
   static Result<CtStoreReader> Open(const std::string& path);
@@ -61,12 +61,13 @@ class CtStoreReader {
 
   const StoreEntry* Find(std::int64_t tag) const;
 
-  /// Zero-copy view of one tag's graph. Structural verification (section
-  /// CRCs, geometry, index ranges) always runs; pass MapVerify::kFull to
-  /// also recheck the stored digest and semantic invariants.
-  Result<CtGraphView> LoadView(
-      std::int64_t tag, MapVerify verify = MapVerify::kStructural) const;
-  /// Owning decode of one tag's graph.
+  /// One tag's graph over the mapped blob. Structural verification
+  /// (section CRCs, geometry, index ranges) always runs; pass
+  /// MapVerify::kFull to also recheck the stored digest, the semantic
+  /// invariants and the self-audit hook.
+  Result<CtGraph> LoadView(std::int64_t tag,
+                           MapVerify verify = MapVerify::kStructural) const;
+  /// LoadView under MapVerify::kFull.
   Result<CtGraph> LoadGraph(std::int64_t tag) const;
   /// Raw blob bytes of one tag (for extraction / re-append).
   Result<std::string> ReadBlobBytes(std::int64_t tag) const;
@@ -81,10 +82,10 @@ class CtStoreReader {
   /// Checks every live blob and reports the first failure as
   /// "tag <tag>: check <tier>: <detail>", where the tier names which
   /// verification layer tripped — index-crc (the index's whole-blob CRC
-  /// envelope), decode (materializing parse: per-section checksums and
-  /// structure, with the failing section named by the detail), view-verify
-  /// (zero-copy remap with digest + semantic invariants), or the explain
-  /// tiers explain-crc / explain-decode for summary blobs.
+  /// envelope), decode (a MapVerify::kFull load: per-section checksums and
+  /// structure, with the failing section named by the detail, then digest,
+  /// semantic invariants and self-audit), or the explain tiers
+  /// explain-crc / explain-decode for summary blobs.
   Status VerifyAll() const;
 
  private:

@@ -11,9 +11,10 @@
 /// lives in docs/FORMATS.md; this header pins the constants and the
 /// fixed-width little-endian field codecs both the writer and the reader
 /// share. Every multi-byte integer on disk is little-endian regardless of
-/// host order — including on the zero-copy path: CtGraphView never aliases
-/// multi-byte fields in place but reads them through the byte-composing
-/// Load* codecs below, so big-endian hosts work without a runtime check.
+/// host order — and so is CtGraph's in-memory storage, which *is* the
+/// section layout (core/ct_graph.h): it never aliases multi-byte fields in
+/// place but reads and writes them through the byte-composing Load* /
+/// Store* codecs below, so big-endian hosts work without a runtime check.
 
 namespace rfidclean::store {
 
@@ -168,6 +169,20 @@ inline double LoadDouble(const unsigned char* p) {
   double v = 0.0;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+inline void StoreU32(unsigned char* p, std::uint32_t v) {
+  p[0] = static_cast<unsigned char>(v & 0xFF);
+  p[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
+  p[2] = static_cast<unsigned char>((v >> 16) & 0xFF);
+  p[3] = static_cast<unsigned char>((v >> 24) & 0xFF);
+}
+
+inline void StoreDouble(unsigned char* p, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  StoreU32(p, static_cast<std::uint32_t>(bits & 0xFFFFFFFFu));
+  StoreU32(p + 4, static_cast<std::uint32_t>(bits >> 32));
 }
 
 /// Pads `out` with zero bytes up to the next kSectionAlign boundary.

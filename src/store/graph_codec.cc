@@ -1,8 +1,7 @@
 #include "store/graph_codec.h"
 
-#include <cstring>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/crc32.h"
 #include "common/strings.h"
@@ -15,60 +14,52 @@ namespace rfidclean::store {
 
 namespace {
 
-/// Whether node ids already run 0..N-1 in layer order (true for every
-/// graph the builder or a decoder produced).
-bool IsLayerOrdered(const CtGraph& graph) {
-  NodeId next = 0;
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    for (NodeId id : graph.NodesAt(t)) {
-      if (id != next) return false;
-      ++next;
-    }
-  }
-  return true;
-}
-
-/// Rebuilds `graph` with ids renumbered into layer order (stable within
-/// each layer). The result is equivalent — same nodes, same edges, same
-/// probabilities — but its Digest() reflects the new id order.
-CtGraph Canonicalize(const CtGraph& graph) {
-  std::vector<NodeId> new_id(graph.NumNodes(), kInvalidNode);
-  std::vector<NodeId> old_order;
-  old_order.reserve(graph.NumNodes());
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    for (NodeId id : graph.NodesAt(t)) {
-      new_id[static_cast<std::size_t>(id)] =
-          static_cast<NodeId>(old_order.size());
-      old_order.push_back(id);
-    }
-  }
-  std::vector<CtGraph::Node> nodes;
-  nodes.reserve(graph.NumNodes());
-  for (NodeId old : old_order) {
-    CtGraph::Node node = graph.node(old);
-    for (CtGraph::Edge& edge : node.out_edges) {
-      edge.to = new_id[static_cast<std::size_t>(edge.to)];
-    }
-    nodes.push_back(std::move(node));
-  }
-  return CtGraph::AssembleUnchecked(std::move(nodes), graph.length());
-}
-
-void EncodeKeys(const CtGraph& graph, std::string* out) {
+/// The KEYS section: per node, in id order,
+///   zigzag(location - prev_location)   (prev_location persists, init 0)
+///   zigzag(delta)
+///   varint(|TL|)
+///   per TL entry: zigzag(time), zigzag(location - prev_tl_location)
+///                 (prev_tl_location resets to 0 per node)
+std::string EncodeKeys(const CtGraphSections& sections) {
+  std::string out;
+  out.reserve(static_cast<std::size_t>(sections.num_nodes) * 3 +
+              sections.departures.size() * 3);
   std::int64_t prev_location = 0;
-  for (std::size_t i = 0; i < graph.NumNodes(); ++i) {
-    const NodeKey& key = graph.node(static_cast<NodeId>(i)).key;
-    PutZigzag(out, key.location - prev_location);
-    prev_location = key.location;
-    PutZigzag(out, key.delta);
-    PutVarint(out, key.departures.size());
+  for (std::size_t i = 0; i < sections.num_nodes; ++i) {
+    const LocationId location = sections.locations[i];
+    PutZigzag(&out, location - prev_location);
+    prev_location = location;
+    PutZigzag(&out, sections.deltas[i]);
+    const std::uint32_t begin = sections.tl_begin[i];
+    const std::uint32_t end = sections.tl_begin[i + 1];
+    PutVarint(&out, end - begin);
     std::int64_t prev_tl_location = 0;
-    for (const Departure& departure : key.departures) {
-      PutZigzag(out, departure.time);
-      PutZigzag(out, departure.location - prev_tl_location);
+    for (std::uint32_t d = begin; d < end; ++d) {
+      const Departure& departure = sections.departures[d];
+      PutZigzag(&out, departure.time);
+      PutZigzag(&out, departure.location - prev_tl_location);
       prev_tl_location = departure.location;
     }
   }
+  return out;
+}
+
+/// The EDGETGT section: zigzag(to - prev_target) per edge in CSR order, one
+/// running prev_target across the whole section (init 0).
+std::string EncodeEdgeTargets(const CtGraphSections& sections) {
+  std::string out;
+  out.reserve(sections.edge_targets.size() * 2);
+  std::int64_t prev_target = 0;
+  for (const NodeId to : sections.edge_targets) {
+    PutZigzag(&out, to - prev_target);
+    prev_target = to;
+  }
+  return out;
+}
+
+std::string_view Bytes(const unsigned char* data, std::uint64_t size) {
+  return std::string_view(reinterpret_cast<const char*>(data),
+                          static_cast<std::size_t>(size));
 }
 
 }  // namespace
@@ -77,51 +68,25 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
                               const GraphProvenance& provenance) {
   obs::PhaseTimer timer(obs::Phase::kStoreEncode);
   RFID_CHECK_GT(graph.length(), 0);
-  if (!IsLayerOrdered(graph)) {
-    return EncodeCtGraphBlob(Canonicalize(graph), tag, provenance);
-  }
+  const CtGraphSections& sections = graph.sections();
 
-  const std::uint64_t num_nodes = graph.NumNodes();
-  const std::uint64_t num_edges = graph.NumEdges();
-
-  std::string payloads[kNumSections];
-  std::string& layers = payloads[0];
-  std::string& keys = payloads[1];
-  std::string& source_prob = payloads[2];
-  std::string& edge_rows = payloads[3];
-  std::string& edge_targets = payloads[4];
-  std::string& edge_prob = payloads[5];
-
-  std::uint32_t running = 0;
-  for (Timestamp t = 0; t < graph.length(); ++t) {
-    PutU32(&layers, running);
-    running += static_cast<std::uint32_t>(graph.NodesAt(t).size());
-  }
-  PutU32(&layers, running);
-
-  EncodeKeys(graph, &keys);
-
-  for (NodeId id : graph.SourceNodes()) {
-    PutDouble(&source_prob, graph.node(id).source_probability);
-  }
-
-  std::uint32_t edge_cursor = 0;
-  std::int64_t prev_target = 0;
-  PutU32(&edge_rows, 0);
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    const CtGraph::Node& node = graph.node(static_cast<NodeId>(i));
-    edge_cursor += static_cast<std::uint32_t>(node.out_edges.size());
-    PutU32(&edge_rows, edge_cursor);
-    for (const CtGraph::Edge& edge : node.out_edges) {
-      PutZigzag(&edge_targets, edge.to - prev_target);
-      prev_target = edge.to;
-      PutDouble(&edge_prob, edge.probability);
-    }
-  }
+  const std::string keys = EncodeKeys(sections);
+  const std::string edge_targets = EncodeEdgeTargets(sections);
+  // In SectionId order.
+  const std::string_view payloads[kNumSections] = {
+      Bytes(sections.layer_begin,
+            std::uint64_t{4} * (static_cast<std::uint64_t>(graph.length()) +
+                                1)),
+      keys,
+      Bytes(sections.source_prob, std::uint64_t{8} * sections.NumSources()),
+      Bytes(sections.edge_rows, std::uint64_t{4} * (sections.num_nodes + 1)),
+      edge_targets,
+      Bytes(sections.edge_prob, std::uint64_t{8} * sections.num_edges),
+  };
 
   std::string blob;
   std::uint64_t total = kBlobPreludeBytes;
-  for (const std::string& payload : payloads) {
+  for (const std::string_view payload : payloads) {
     total = AlignUp(total + payload.size());
   }
   blob.reserve(static_cast<std::size_t>(total));
@@ -132,8 +97,8 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
   PutI64(&blob, tag);
   PutI32(&blob, graph.length());
   PutU32(&blob, 0);  // reserved
-  PutU64(&blob, num_nodes);
-  PutU64(&blob, num_edges);
+  PutU64(&blob, sections.num_nodes);
+  PutU64(&blob, sections.num_edges);
   PutU64(&blob, provenance.input_digest);
   PutU64(&blob, provenance.constraint_digest);
   PutU64(&blob, graph.Digest());
@@ -149,7 +114,7 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
     PutU64(&blob, 0);  // reserved
     offset = AlignUp(offset + payloads[i].size());
   }
-  for (const std::string& payload : payloads) {
+  for (const std::string_view payload : payloads) {
     blob.append(payload);
     PadToAlign(&blob);
   }
@@ -157,76 +122,59 @@ std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
   const std::uint32_t header_crc =
       Crc32(blob.data() + kBlobHeaderBytes, kBlobTableBytes,
             Crc32(blob.data(), kBlobHeaderBytes - 4));
-  std::string crc_bytes;
-  PutU32(&crc_bytes, header_crc);
-  blob.replace(kBlobHeaderBytes - 4, 4, crc_bytes);
+  StoreU32(reinterpret_cast<unsigned char*>(blob.data()) + kBlobHeaderBytes -
+               4,
+           header_crc);
 
   obs::Add(obs::Counter::kStoreBlobsEncoded);
   obs::Add(obs::Counter::kStoreBytesEncoded, blob.size());
   return blob;
 }
 
-Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data,
-                                  std::size_t size) {
+Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data, std::size_t size,
+                                  MapVerify verify,
+                                  std::shared_ptr<const void> keepalive) {
+  const bool full = verify == MapVerify::kFull;
   BlobContents contents;
-  RFID_ASSIGN_OR_RETURN(contents, ParseBlobContents(data, size));
-  const BlobHeader& header = contents.parsed.header;
+  RFID_ASSIGN_OR_RETURN(
+      contents,
+      ParseBlobContents(data, size,
+                        full ? SectionChecks::kAll : SectionChecks::kGeometry));
+  const std::uint64_t stored_digest = contents.parsed.header.graph_digest;
+  CtGraph graph = CtGraph::FromSections(std::move(contents.sections),
+                                        std::move(keepalive));
+  if (!full) return graph;
 
-  std::vector<CtGraph::Node> nodes(
-      static_cast<std::size_t>(header.num_nodes));
-  for (std::int32_t t = 0; t < header.length; ++t) {
-    for (std::uint32_t i = contents.LayerBegin(t);
-         i < contents.LayerBegin(t + 1); ++i) {
-      nodes[i].time = t;
-    }
+  const Status consistent = graph.CheckConsistency();
+  if (!consistent.ok()) {
+    return InvalidArgumentError(
+        StrFormat("ct-graph blob: decoded graph fails invariants: %s",
+                  consistent.message().c_str()));
   }
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    NodeKey& key = nodes[i].key;
-    key.location = contents.locations[i];
-    key.delta = contents.deltas[i];
-    for (std::uint32_t d = contents.tl_begin[i]; d < contents.tl_begin[i + 1];
-         ++d) {
-      key.departures.push_back(contents.departures[d]);
-    }
-  }
-  for (std::uint32_t i = 0; i < contents.LayerBegin(1); ++i) {
-    nodes[i].source_probability =
-        LoadDouble(contents.source_prob + std::size_t{8} * i);
-  }
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const std::uint32_t begin = contents.EdgeRow(i);
-    const std::uint32_t end = contents.EdgeRow(i + 1);
-    nodes[i].out_edges.reserve(end - begin);
-    for (std::uint32_t e = begin; e < end; ++e) {
-      nodes[i].out_edges.push_back(CtGraph::Edge{
-          contents.edge_targets[e],
-          LoadDouble(contents.edge_prob + std::size_t{8} * e)});
-    }
-  }
-
-  Result<CtGraph> graph =
-      CtGraph::Assemble(std::move(nodes), header.length);
-  if (!graph.ok()) {
-    return InvalidArgumentError(StrFormat(
-        "ct-graph blob: decoded graph fails invariants: %s",
-        graph.status().message().c_str()));
-  }
-  const std::uint64_t digest = graph->Digest();
-  if (digest != header.graph_digest) {
+  const std::uint64_t digest = graph.Digest();
+  if (digest != stored_digest) {
     return InvalidArgumentError(StrFormat(
         "ct-graph blob: stored graph digest %016llx does not match decoded "
         "graph %016llx",
-        static_cast<unsigned long long>(header.graph_digest),
+        static_cast<unsigned long long>(stored_digest),
         static_cast<unsigned long long>(digest)));
   }
-  RFID_RETURN_IF_ERROR(RunCtGraphAuditHook(*graph));
+  RFID_RETURN_IF_ERROR(RunCtGraphAuditHook(graph));
   return graph;
+}
+
+Result<CtGraph> DecodeCtGraphBlob(std::string bytes, MapVerify verify) {
+  auto owned = std::make_shared<const std::string>(std::move(bytes));
+  return DecodeCtGraphBlob(
+      reinterpret_cast<const unsigned char*>(owned->data()), owned->size(),
+      verify, owned);
 }
 
 Result<BlobInfo> InspectCtGraphBlob(const unsigned char* data,
                                     std::size_t size) {
   ParsedBlob parsed;
-  RFID_ASSIGN_OR_RETURN(parsed, ParseAndVerifyBlob(data, size));
+  RFID_ASSIGN_OR_RETURN(
+      parsed, ParseAndVerifyBlob(data, size, SectionChecks::kGeometry));
   BlobInfo info;
   info.header = parsed.header;
   info.blob_bytes = parsed.size;

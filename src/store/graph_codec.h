@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -10,13 +11,14 @@
 #include "store/format.h"
 
 /// \file
-/// Materializing codec between CtGraph and the version-1 binary blob
-/// (docs/FORMATS.md). Encoding is canonical: a given graph has exactly one
-/// valid byte encoding, so equal graphs produce byte-identical blobs and
-/// golden fixtures can assert byte-for-byte equality. Decoding re-validates
-/// every invariant (CtGraph::Assemble + the stored graph digest + the
-/// installed self-audit hook), so a blob that decodes is as trustworthy as
-/// a graph the builder just produced.
+/// Codec between CtGraph and the version-1 binary blob (docs/FORMATS.md).
+/// A CtGraph is stored as the blob's sections, so encoding writes the
+/// header and section table, copies the four fixed-width sections and
+/// varint-encodes the other two; loading verifies the blob and lets the
+/// graph alias its fixed-width sections in place. Encoding is canonical: a
+/// given graph has exactly one valid byte encoding, so equal graphs produce
+/// byte-identical blobs and golden fixtures can assert byte-for-byte
+/// equality.
 
 namespace rfidclean::store {
 
@@ -28,27 +30,47 @@ struct GraphProvenance {
   std::uint64_t constraint_digest = 0;
 };
 
-/// Serializes `graph` into a self-contained blob. Nodes are stored in
-/// layer order; graphs whose ids are already layer-ordered (everything the
-/// builder and the decoders produce) round-trip with a bit-identical
-/// CtGraph::Digest(), otherwise ids are canonically renumbered (stable
-/// within each layer) and the stored digest is the renumbered graph's.
+/// Serializes `graph` into a self-contained blob. The stored digest is
+/// graph.Digest(), so a loaded blob digests equal to the graph it came
+/// from.
 std::string EncodeCtGraphBlob(const CtGraph& graph, std::int64_t tag,
                               const GraphProvenance& provenance = {});
 
-/// Decodes a blob into an owning CtGraph. Verifies checksums, structure,
-/// CtGraph invariants, the stored graph digest, and runs the registered
-/// self-audit hook on the result.
-Result<CtGraph> DecodeCtGraphBlob(const unsigned char* data,
-                                  std::size_t size);
-inline Result<CtGraph> DecodeCtGraphBlob(const std::string& bytes) {
-  return DecodeCtGraphBlob(
-      reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());
-}
+/// How much a load verifies beyond the always-on structural parse (magic,
+/// geometry, per-section CRCs, varint decoding, index-range validation —
+/// everything memory safety depends on).
+///
+/// kStructural is the load fast path: it checksums the geometry-bearing
+/// sections (layers, keys, edge rows, edge targets — everything indexing
+/// arithmetic derives from) and skips the two probability payloads, which
+/// are only ever read as opaque doubles and cannot affect memory safety.
+/// kFull additionally checksums those payloads, recomputes the graph digest
+/// against the stored header digest, re-runs CtGraph::CheckConsistency and
+/// the installed self-audit hook (core/self_audit.h) — the mode for `store
+/// verify`, audits and differential tests, where catching corruption or
+/// encoder/decoder drift matters more than load latency.
+enum class MapVerify {
+  kStructural,
+  kFull,
+};
+
+/// Loads a blob as a CtGraph whose fixed-width sections alias the blob
+/// bytes in place (only the varint sections are decoded). `keepalive`, when
+/// given, is retained by the graph (e.g. the store reader's shared
+/// mapping); without one the caller must keep [data, data + size) alive
+/// and unchanged for the graph's lifetime.
+Result<CtGraph> DecodeCtGraphBlob(
+    const unsigned char* data, std::size_t size,
+    MapVerify verify = MapVerify::kFull,
+    std::shared_ptr<const void> keepalive = nullptr);
+/// As above over `bytes`, which the returned graph keeps alive.
+Result<CtGraph> DecodeCtGraphBlob(std::string bytes,
+                                  MapVerify verify = MapVerify::kFull);
 
 /// Header fields plus measured size of a blob, for listings and `store
-/// ls`. Verifies the header checksum and geometry but skips section
-/// payload decoding.
+/// ls`. Verifies the header checksum, the geometry and the geometry
+/// sections' checksums (as a MapVerify::kStructural load does) but decodes
+/// no section.
 struct BlobInfo {
   BlobHeader header;
   std::size_t blob_bytes = 0;

@@ -8,11 +8,11 @@
 #include "common/result.h"
 
 /// \file
-/// Read-only memory-mapped file, the zero-copy substrate of CtGraphView
+/// Read-only memory-mapped file, the zero-copy substrate of a loaded CtGraph
 /// and CtStoreReader. POSIX mmap with a private read-only mapping; an empty
 /// file maps to a null span (mmap of length 0 is unspecified). Move-only
-/// RAII: the mapping lives exactly as long as the object, and every view
-/// aliasing it must be dropped first (documented on the consumers).
+/// RAII: the mapping lives exactly as long as the object, so a graph
+/// aliasing it holds it through a shared_ptr (CtStoreReader::LoadView).
 
 namespace rfidclean::store {
 

@@ -41,8 +41,10 @@ inline void PutZigzag(std::string* out, std::int64_t value) {
 }
 
 /// Reads one varint from [*cursor, end), advancing *cursor past it. Returns
-/// false — without advancing — on truncation or on an encoding longer than
-/// 10 bytes (a 64-bit value never needs more; longer means corruption).
+/// false — without advancing — on truncation, on an encoding longer than
+/// 10 bytes (a 64-bit value never needs more; longer means corruption) and
+/// on an overlong one ending in a zero byte: PutVarint never writes those,
+/// and accepting them would give one value two byte strings.
 inline bool GetVarint(const unsigned char** cursor, const unsigned char* end,
                       std::uint64_t* value) {
   const unsigned char* p = *cursor;
@@ -61,6 +63,7 @@ inline bool GetVarint(const unsigned char** cursor, const unsigned char* end,
     if ((byte & 0x80u) == 0) {
       // Reject non-canonical tails that would shift bits off the top.
       if (shift == 63 && (byte & 0x7Eu) != 0) return false;
+      if (byte == 0) return false;  // overlong (shift > 0 here)
       *cursor = p;
       *value = out;
       return true;

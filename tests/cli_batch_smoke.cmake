@@ -49,4 +49,23 @@ foreach(tag 0 1 2 3)
   endif()
 endforeach()
 
+# --dot renders one graph: on a multi-tag feed it is a usage error, raised
+# before any cleaning, so neither the dot file nor a graph is written.
+file(MAKE_DIRECTORY ${WORK_DIR}/dot)
+foreach(artifact building.map readings.csv)
+  file(COPY ${WORK_DIR}/${artifact} DESTINATION ${WORK_DIR}/dot)
+endforeach()
+execute_process(COMMAND ${CLI} clean --dir ${WORK_DIR}/dot --seed 5
+                        --dot ${WORK_DIR}/dot/graph.dot
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(code EQUAL 0)
+  message(FATAL_ERROR "clean --dot on a multi-tag feed exited 0:\n${out}")
+endif()
+if(NOT err MATCHES "--dot")
+  message(FATAL_ERROR "clean --dot on a multi-tag feed did not name --dot:\n${err}")
+endif()
+if(EXISTS ${WORK_DIR}/dot/graph.dot OR EXISTS ${WORK_DIR}/dot/graph_0.ctg)
+  message(FATAL_ERROR "clean --dot on a multi-tag feed wrote output")
+endif()
+
 message(STATUS "cli batch smoke test passed")

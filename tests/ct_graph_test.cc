@@ -85,7 +85,39 @@ TEST(CtGraphAssembleTest, RejectsEdgeSkippingLayers) {
   EXPECT_FALSE(CtGraph::Assemble(std::move(nodes), 3).ok());
 }
 
+TEST(CtGraphAssembleTest, RejectsSourceProbabilityOnNonSource) {
+  // Only t=0 nodes carry p_N; the graph stores no slot for any other node,
+  // so a nonzero value elsewhere is malformed input, not something to drop.
+  std::vector<CtGraph::Node> nodes;
+  nodes.push_back(MakeNode(0, kL1, 1.0));
+  nodes[0].out_edges.push_back(CtGraph::Edge{1, 1.0});
+  nodes.push_back(MakeNode(1, kL2, 0.5));
+  EXPECT_FALSE(CtGraph::Assemble(std::move(nodes), 2).ok());
+}
+
 // --- Accessors and traversal -------------------------------------------------------
+
+TEST(CtGraphTest, KeepsTlListsLongerThanTheInlineCapacity) {
+  // Six departures spill past DepartureList's four inline slots.
+  std::vector<CtGraph::Node> nodes;
+  nodes.push_back(MakeNode(0, kL1, 1.0));
+  for (int i = 0; i < 6; ++i) {
+    nodes[0].key.departures.push_back(
+        Departure{static_cast<Timestamp>(10 + i), static_cast<LocationId>(i)});
+  }
+  Result<CtGraph> graph = CtGraph::Assemble(std::move(nodes), 1);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  std::vector<Departure> departures;
+  for (const Departure& d : graph.value().DeparturesOf(0)) {
+    departures.push_back(d);
+  }
+  ASSERT_EQ(departures.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(departures[static_cast<std::size_t>(i)],
+              (Departure{static_cast<Timestamp>(10 + i),
+                         static_cast<LocationId>(i)}));
+  }
+}
 
 TEST(CtGraphTest, EmptyDefaultGraph) {
   CtGraph graph;
@@ -115,7 +147,7 @@ TEST(CtGraphTest, NodesAtPartitionsAllNodes) {
   std::size_t total = 0;
   for (Timestamp t = 0; t < graph.value().length(); ++t) {
     for (NodeId id : graph.value().NodesAt(t)) {
-      EXPECT_EQ(graph.value().node(id).time, t);
+      EXPECT_EQ(graph.value().TimeOf(id), t);
       ++total;
     }
   }

@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "core/builder.h"
 #include "obs/explain.h"
 #include "store/blob_layout.h"
 #include "store/ct_store.h"
-#include "store/ctgraph_view.h"
 #include "store/explain_codec.h"
 #include "store/graph_codec.h"
 #include "test_util.h"
@@ -20,7 +20,6 @@ namespace rfidclean {
 namespace {
 
 using store::BlobContents;
-using store::CtGraphView;
 using store::CtStoreReader;
 using store::CtStoreWriter;
 using store::DecodeCtGraphBlob;
@@ -71,6 +70,17 @@ class StoreCorruptionTest : public ::testing::Test {
     return contents.ok() ? Status::Ok() : contents.status();
   }
 
+  /// `bytes` with the chained header CRC recomputed, as a writer that
+  /// edits the header or the section table would leave them.
+  static std::string WithHeaderCrc(std::string bytes) {
+    unsigned char* data = reinterpret_cast<unsigned char*>(bytes.data());
+    store::StoreU32(data + store::kBlobHeaderBytes - 4,
+                    Crc32(data + store::kBlobHeaderBytes,
+                          store::kBlobTableBytes,
+                          Crc32(data, store::kBlobHeaderBytes - 4)));
+    return bytes;
+  }
+
   static void WriteFile(const std::string& path, const std::string& bytes) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -118,6 +128,68 @@ TEST_F(StoreCorruptionTest, EveryTruncationLengthIsRejected) {
           .ok());
 }
 
+TEST_F(StoreCorruptionTest, NonzeroReservedOrPaddingBytesAreRejected) {
+  // Reserved header fields and inter-section padding are zero in the only
+  // accepted encoding. A writer that recomputes the header CRC (or touches
+  // padding, which no CRC covers) must still be refused, or the load ->
+  // encode round trip would not reproduce the bytes.
+  const std::string& pristine = PristineBlob();
+  ASSERT_EQ(WithHeaderCrc(pristine), pristine);
+  for (std::size_t at : {28u, 31u, 72u, 91u}) {
+    std::string corrupted = pristine;
+    corrupted[at] = 1;
+    const Status status =
+        ParseStatus(WithHeaderCrc(corrupted), SectionChecks::kGeometry);
+    EXPECT_FALSE(status.ok()) << "reserved byte " << at << " accepted";
+  }
+  Result<ParsedBlob> parsed = ParseAndVerifyBlob(
+      reinterpret_cast<const unsigned char*>(pristine.data()),
+      pristine.size());
+  ASSERT_TRUE(parsed.ok());
+  int padded = 0;
+  for (std::uint32_t s = 1; s <= kNumSections; ++s) {
+    const store::SectionEntry& section =
+        parsed.value().Section(static_cast<SectionId>(s));
+    const std::uint64_t end = section.offset + section.size;
+    if (end % 8 == 0) continue;
+    ++padded;
+    std::string corrupted = pristine;
+    corrupted[static_cast<std::size_t>(end)] = 1;
+    const Status status = ParseStatus(corrupted, SectionChecks::kGeometry);
+    EXPECT_FALSE(status.ok()) << "padding after section " << s << " accepted";
+  }
+  EXPECT_GT(padded, 0);
+}
+
+TEST_F(StoreCorruptionTest, OverlongVarintIsRejected) {
+  // The first KEYS varint re-spelled with a redundant zero continuation
+  // byte (0x02 -> 0x82 0x00) decodes to the same value; with the section's
+  // size and CRC and the header CRC updated it must still be refused, or
+  // one graph would have two encodings.
+  const std::string& pristine = PristineBlob();
+  Result<ParsedBlob> parsed = ParseAndVerifyBlob(
+      reinterpret_cast<const unsigned char*>(pristine.data()),
+      pristine.size());
+  ASSERT_TRUE(parsed.ok());
+  const store::SectionEntry keys = parsed.value().Section(SectionId::kKeys);
+  // The longer payload must still fit before the next section.
+  ASSERT_NE((keys.offset + keys.size) % 8, 0u);
+  const std::size_t at = static_cast<std::size_t>(keys.offset);
+  ASSERT_LT(static_cast<unsigned char>(pristine[at]), 0x80);
+  std::string payload = pristine.substr(at, keys.size);
+  payload[0] = static_cast<char>(payload[0] | 0x80);
+  payload.insert(payload.begin() + 1, '\0');
+  std::string overlong = pristine;
+  overlong.replace(at, payload.size(), payload);
+  unsigned char* entry = reinterpret_cast<unsigned char*>(overlong.data()) +
+                         store::kBlobHeaderBytes + store::kSectionEntryBytes;
+  store::StoreU32(entry + 4, Crc32(payload.data(), payload.size()));
+  store::StoreU32(entry + 16, static_cast<std::uint32_t>(payload.size()));
+  const Status status =
+      ParseStatus(WithHeaderCrc(overlong), SectionChecks::kGeometry);
+  EXPECT_FALSE(status.ok());
+}
+
 TEST_F(StoreCorruptionTest, PayloadCorruptionIsCaughtPerVerificationTier) {
   const std::string& pristine = PristineBlob();
   ParsedBlob parsed;
@@ -149,19 +221,17 @@ TEST_F(StoreCorruptionTest, PayloadCorruptionIsCaughtPerVerificationTier) {
       // payload CRCs (they cannot affect memory safety)...
       EXPECT_TRUE(ParseStatus(corrupted, SectionChecks::kGeometry).ok())
           << "section " << s;
-      // ...but both deep verifiers still reject the blob: the materializing
-      // decoder by section CRC, the full view map by CRC + digest.
-      EXPECT_FALSE(DecodeCtGraphBlob(data, corrupted.size()).ok())
-          << "section " << s;
+      // ...but the full-verification load still rejects the blob (section
+      // CRC, then digest).
       EXPECT_FALSE(
-          CtGraphView::Map(data, corrupted.size(), MapVerify::kFull).ok())
+          DecodeCtGraphBlob(data, corrupted.size(), MapVerify::kFull).ok())
           << "section " << s;
     } else {
       // Geometry-bearing sections are checksummed on every load.
       EXPECT_FALSE(ParseStatus(corrupted, SectionChecks::kGeometry).ok())
           << "section " << s;
       EXPECT_FALSE(
-          CtGraphView::Map(data, corrupted.size(), MapVerify::kStructural)
+          DecodeCtGraphBlob(data, corrupted.size(), MapVerify::kStructural)
               .ok())
           << "section " << s;
     }
@@ -232,8 +302,7 @@ TEST_F(StoreCorruptionTest, ContainerBlobFlipsAreCaughtByLoadOrVerifyAll) {
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     EXPECT_FALSE(reader.value().VerifyAll().ok())
         << "flip at byte " << at << " passed VerifyAll";
-    Result<CtGraphView> view =
-        reader.value().LoadView(7, MapVerify::kFull);
+    Result<CtGraph> view = reader.value().LoadView(7, MapVerify::kFull);
     EXPECT_FALSE(view.ok()) << "flip at byte " << at << " loaded (kFull)";
   }
   std::remove(path.c_str());

@@ -10,13 +10,11 @@
 #include "core/ct_graph.h"
 #include "query/marginals.h"
 #include "store/ct_store.h"
-#include "store/ctgraph_view.h"
 #include "store/graph_codec.h"
 
 namespace rfidclean {
 namespace {
 
-using store::CtGraphView;
 using store::CtStoreReader;
 using store::CtStoreWriter;
 using store::DecodeCtGraphBlob;
@@ -144,15 +142,21 @@ TEST_F(StoreGoldenTest, BlobFixtureDecodesToTheGoldenGraph) {
   const CtGraph golden = GoldenGraph();
   EXPECT_EQ(decoded.value().Digest(), golden.Digest());
 
-  Result<CtGraphView> view = CtGraphView::Map(
-      reinterpret_cast<const unsigned char*>(fixture.data()), fixture.size(),
-      MapVerify::kFull);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value().Digest(), golden.Digest());
-  EXPECT_EQ(view.value().tag(), kTag);
-  EXPECT_EQ(view.value().input_digest(), kProvenance.input_digest);
-  EXPECT_EQ(view.value().constraint_digest(), kProvenance.constraint_digest);
-  EXPECT_EQ(NodeMarginalsOf(view.value()), NodeMarginals(golden));
+  // The structural fast path over the caller's bytes loads the same graph.
+  const unsigned char* data =
+      reinterpret_cast<const unsigned char*>(fixture.data());
+  Result<CtGraph> mapped =
+      DecodeCtGraphBlob(data, fixture.size(), MapVerify::kStructural);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().Digest(), golden.Digest());
+  Result<store::BlobInfo> info =
+      store::InspectCtGraphBlob(data, fixture.size());
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info.value().header.tag, kTag);
+  EXPECT_EQ(info.value().header.input_digest, kProvenance.input_digest);
+  EXPECT_EQ(info.value().header.constraint_digest,
+            kProvenance.constraint_digest);
+  EXPECT_EQ(NodeMarginals(mapped.value()), NodeMarginals(golden));
 }
 
 TEST_F(StoreGoldenTest, ContainerFixtureMatchesWriterByteForByte) {
@@ -183,8 +187,7 @@ TEST_F(StoreGoldenTest, ContainerFixtureOpensAndFullyVerifies) {
   EXPECT_TRUE(reader.value().VerifyAll().ok());
   const CtGraph golden = GoldenGraph();
   for (std::int64_t tag : {kTag, kSecondTag}) {
-    Result<CtGraphView> view =
-        reader.value().LoadView(tag, MapVerify::kFull);
+    Result<CtGraph> view = reader.value().LoadView(tag, MapVerify::kFull);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     EXPECT_EQ(view.value().Digest(), golden.Digest());
   }

@@ -14,15 +14,14 @@
 #include "model/lsequence.h"
 #include "query/marginals.h"
 #include "query/most_likely.h"
+#include "query/stay_query.h"
 #include "store/ct_store.h"
-#include "store/ctgraph_view.h"
 #include "store/graph_codec.h"
 #include "test_util.h"
 
 namespace rfidclean {
 namespace {
 
-using store::CtGraphView;
 using store::CtStoreReader;
 using store::CtStoreWriter;
 using store::DecodeCtGraphBlob;
@@ -30,13 +29,13 @@ using store::EncodeCtGraphBlob;
 using store::MapVerify;
 
 /// Randomized round-trip property: for random cleaned graphs, every
-/// serialization path — text, binary blob, zero-copy mmap view, container
-/// — must reproduce the graph bit for bit: identical FNV digests,
-/// identical text bytes, identical blob bytes (the v1 encoding is
+/// serialization path — text, binary blob, a graph mapped over the blob
+/// bytes, container — must reproduce the graph bit for bit: identical FNV
+/// digests, identical text bytes, identical blob bytes (the v1 encoding is
 /// canonical), and bit-identical query answers (marginals, most-likely
-/// trajectory) between the owning graph and the mapped view. The analysis
-/// self-audit hook is armed for the whole test, so every decode re-audits
-/// the reconstructed graph.
+/// trajectory, stays) between the built graph and the mapped one. The
+/// analysis self-audit hook is armed for the whole test, so every
+/// full-verification load re-audits the loaded graph.
 ///
 /// 20 seeds x 10 instances = 200 random graphs per run.
 class StoreRoundTripPropertyTest : public ::testing::TestWithParam<int> {
@@ -140,8 +139,8 @@ TEST_P(StoreRoundTripPropertyTest, AllSerializationPathsAreBitFaithful) {
     EXPECT_EQ(reread.value().Digest(), digest);
     EXPECT_EQ(ToText(reread.value()), text);
 
-    // Binary round trip through the materializing decoder (the armed
-    // self-audit hook re-audits the decoded graph inside).
+    // Binary round trip into a graph that owns a copy of the blob (the
+    // armed self-audit hook re-audits the loaded graph inside).
     const store::GraphProvenance provenance{instance.sequence.Digest(),
                                             instance.constraints.Digest()};
     const std::string blob = EncodeCtGraphBlob(graph, round, provenance);
@@ -154,27 +153,36 @@ TEST_P(StoreRoundTripPropertyTest, AllSerializationPathsAreBitFaithful) {
     // reproduce the exact blob bytes.
     EXPECT_EQ(EncodeCtGraphBlob(decoded.value(), round, provenance), blob);
 
-    // Zero-copy view under full verification: provenance fields, digest,
-    // and bit-identical query answers against the owning graph.
-    Result<CtGraphView> view = CtGraphView::Map(
-        reinterpret_cast<const unsigned char*>(blob.data()), blob.size(),
-        MapVerify::kFull);
+    // Provenance travels in the blob header.
+    const unsigned char* bytes =
+        reinterpret_cast<const unsigned char*>(blob.data());
+    Result<store::BlobInfo> info =
+        store::InspectCtGraphBlob(bytes, blob.size());
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info.value().header.tag, round);
+    EXPECT_EQ(info.value().header.input_digest, provenance.input_digest);
+    EXPECT_EQ(info.value().header.constraint_digest,
+              provenance.constraint_digest);
+
+    // A graph aliasing the blob bytes, under full verification: digest and
+    // bit-identical query answers against the built graph.
+    Result<CtGraph> view =
+        DecodeCtGraphBlob(bytes, blob.size(), MapVerify::kFull);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
-    EXPECT_EQ(view.value().tag(), round);
-    EXPECT_EQ(view.value().input_digest(), provenance.input_digest);
-    EXPECT_EQ(view.value().constraint_digest(), provenance.constraint_digest);
     EXPECT_EQ(view.value().Digest(), digest);
-    EXPECT_EQ(NodeMarginalsOf(view.value()), NodeMarginals(graph));
-    const auto [view_path, view_prob] =
-        MostLikelyTrajectoryOf(view.value());
+    EXPECT_EQ(NodeMarginals(view.value()), NodeMarginals(graph));
+    const auto [view_path, view_prob] = MostLikelyTrajectory(view.value());
     const auto [graph_path, graph_prob] = MostLikelyTrajectory(graph);
     EXPECT_EQ(view_path, graph_path);
     EXPECT_EQ(view_prob, graph_prob);
+    const StayQueryEvaluator view_stays(view.value());
+    const StayQueryEvaluator graph_stays(graph);
+    for (Timestamp t = 0; t < graph.length(); ++t) {
+      EXPECT_EQ(view_stays.Evaluate(t), graph_stays.Evaluate(t)) << "t=" << t;
+    }
 
-    // binary -> mmap view -> owning copy -> text: still byte-identical.
-    Result<CtGraph> materialized = view.value().Materialize();
-    ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-    EXPECT_EQ(ToText(materialized.value()), text);
+    // binary -> mapped graph -> text: still byte-identical.
+    EXPECT_EQ(ToText(view.value()), text);
 
     // Accumulate into the container; verified below through the reader.
     Result<CtStoreWriter> writer = CtStoreWriter::OpenOrCreate(store_path);
@@ -185,16 +193,19 @@ TEST_P(StoreRoundTripPropertyTest, AllSerializationPathsAreBitFaithful) {
   }
   ASSERT_GT(built, 0) << "every random instance was over-constrained";
 
-  // Container round trip: every stored tag loads as a fully verified view
-  // with the recorded digest, and the whole store passes the deep check.
+  // Container round trip: every stored tag loads, structurally and fully
+  // verified, with the recorded digest, and the whole store passes the
+  // deep check.
   Result<CtStoreReader> reader = CtStoreReader::Open(store_path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   ASSERT_EQ(reader.value().entries().size(), stored_digests.size());
   for (const auto& [tag, digest] : stored_digests) {
-    Result<CtGraphView> view =
-        reader.value().LoadView(tag, MapVerify::kFull);
+    Result<CtGraph> view = reader.value().LoadView(tag, MapVerify::kFull);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     EXPECT_EQ(view.value().Digest(), digest);
+    Result<CtGraph> fast = reader.value().LoadView(tag);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    EXPECT_EQ(fast.value().Digest(), digest);
   }
   EXPECT_TRUE(reader.value().VerifyAll().ok());
   std::remove(store_path.c_str());
@@ -202,6 +213,50 @@ TEST_P(StoreRoundTripPropertyTest, AllSerializationPathsAreBitFaithful) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreRoundTripPropertyTest,
                          ::testing::Range(0, 20));
+
+TEST(StoreTextOrderTest, UnorderedTextRowsAreRenumberedStablyByLayer) {
+  // A text graph whose node rows are not in layer order: rows 2 and 4 are
+  // the sources, 1 and 3 sit at t=1, 0 is the target.
+  std::istringstream is(
+      "ctgraph 3 5\n"
+      "node 0 2 2 -1 0\n"
+      "node 1 1 1 -1 0\n"
+      "node 2 0 1 -1 0.625 5,2 6,3\n"
+      "node 3 1 3 1 0 7,2\n"
+      "node 4 0 2 2 0.375\n"
+      "edge 2 1 0.5\n"
+      "edge 2 3 0.5\n"
+      "edge 4 3 1\n"
+      "edge 1 0 1\n"
+      "edge 3 0 1\n");
+  Result<CtGraph> graph = ReadCtGraph(is);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  // Stable renumbering by layer: rows 2, 4, 1, 3, 0 become ids 0..4, and the
+  // edges follow their nodes.
+  std::ostringstream os;
+  WriteCtGraph(graph.value(), os);
+  EXPECT_EQ(os.str(),
+            "ctgraph 3 5\n"
+            "node 0 0 1 -1 0.625 5,2 6,3\n"
+            "node 1 0 2 2 0.375\n"
+            "node 2 1 1 -1 0\n"
+            "node 3 1 3 1 0 7,2\n"
+            "node 4 2 2 -1 0\n"
+            "edge 0 2 0.5\n"
+            "edge 0 3 0.5\n"
+            "edge 1 3 1\n"
+            "edge 2 4 1\n"
+            "edge 3 4 1\n");
+  // Stores written by earlier builds hold this digest for this file
+  // (`store put` renumbered by layer at encode time), so loading must
+  // reproduce it.
+  constexpr std::uint64_t kStoredDigest = 0x68fbb5db2986b4c5ull;
+  EXPECT_EQ(graph.value().Digest(), kStoredDigest);
+  Result<CtGraph> loaded =
+      DecodeCtGraphBlob(EncodeCtGraphBlob(graph.value(), /*tag=*/1));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().Digest(), kStoredDigest);
+}
 
 }  // namespace
 }  // namespace rfidclean

@@ -2,7 +2,7 @@
 """Project-specific lint checks that clang-tidy cannot express.
 
 Checks, over library and tool sources (src/, tools/, tests/, bench/,
-examples/):
+examples/, and fuzz/ for rule 5):
 
  1. `assert(` is banned in library code (src/ and tools/): contract checks
     must use RFID_CHECK and friends (common/check.h), which stay armed in
@@ -37,6 +37,15 @@ examples/):
     (src/store/graph_codec.cc), whose self-audit checks a graph loaded from
     disk, not one being cleaned.
 
+ 5. One ct-graph type: nothing under src/, tools/, tests/, bench/ or fuzz/
+    may name CtGraphView or StayQueryEvaluatorT, except in the alias
+    declarations themselves (`using CtGraphView = ...`, `using
+    StayQueryEvaluatorT = ...`). A graph mapped from a ct-store is a
+    CtGraph, and every query takes a CtGraph; the old names of the second
+    graph class and of the evaluator template survive only as aliases for
+    out-of-tree code (perfbench/). Code that names them again is the first
+    step of forking the representation a second time.
+
 Exit status 0 when clean, 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths are resolved against the repo root
 (the parent of this script's directory), or pass --root.
@@ -70,6 +79,13 @@ PIPELINE_STAGES = (
                 r"<\s*(?:\w+::)*ForwardEngine\s*>"),
      "a ForwardEngine", ("src/core/forward.h", "src/core/forward.cc")),
 )
+
+# Rule 5: the directories it covers, the names it bans, and the alias
+# declarations that may still carry them.
+ONE_GRAPH_DIRS = ("src", "tools", "tests", "bench", "fuzz")
+FORKED_GRAPH_RE = re.compile(r"\b(CtGraphView|StayQueryEvaluatorT)\b")
+GRAPH_ALIAS_RE = re.compile(
+    r"\busing\s+(?:CtGraphView|StayQueryEvaluatorT)\s*=")
 
 ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 CONDITIONAL_RE = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b(.*)$")
@@ -176,6 +192,21 @@ def check_pipeline_stages(path: Path, relpath: Path, lines) -> list:
     return findings
 
 
+def check_one_graph_type(path: Path, relpath: Path, lines) -> list:
+    findings = []
+    for lineno, line in enumerate(lines, start=1):
+        code = strip_noncode(line)
+        if GRAPH_ALIAS_RE.search(code):
+            continue
+        match = FORKED_GRAPH_RE.search(code)
+        if match:
+            findings.append(
+                f"{relpath}:{lineno}: {match.group(1)} names the merged "
+                "second ct-graph type; use CtGraph / StayQueryEvaluator (the "
+                "alias exists only for out-of-tree code)")
+    return findings
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -186,7 +217,9 @@ def main() -> int:
 
     findings = []
     scanned = 0
-    for top in SCANNED_DIRS:
+    all_dirs = SCANNED_DIRS + tuple(
+        d for d in ONE_GRAPH_DIRS if d not in SCANNED_DIRS)
+    for top in all_dirs:
         top_dir = args.root / top
         if not top_dir.is_dir():
             continue
@@ -199,7 +232,9 @@ def main() -> int:
             if top in ASSERT_BANNED_DIRS:
                 findings += check_asserts(path, relpath, lines)
                 findings += check_pipeline_stages(path, relpath, lines)
-            if path.suffix in (".h", ".hpp"):
+            if top in ONE_GRAPH_DIRS:
+                findings += check_one_graph_type(path, relpath, lines)
+            if top in SCANNED_DIRS and path.suffix in (".h", ".hpp"):
                 findings += check_include_guard(path, relpath, lines)
                 if top == "src":
                     findings += check_config_branches(path, relpath, lines)

@@ -141,6 +141,40 @@ class LintIncludesTest(unittest.TestCase):
                    "auto plan = oracle.Analyze(sequence);\n")
         self.assertEqual(self.run_lint(), (0, []))
 
+    def test_second_graph_type_names_are_flagged(self):
+        self.write("tools/cli.cc",
+                   "Result<store::CtGraphView> view = reader.LoadView(t);\n"
+                   "StayQueryEvaluatorT<store::CtGraphView> evaluator(v);\n")
+        self.write("fuzz/blob_fuzz.cc",
+                   "using rfidclean::store::CtGraphView;\n")
+        self.write("tests/store_test.cc",
+                   "auto view = CtGraphView::Map(data, size);\n")
+        self.write_header("src/query/fork.h",
+                          "template <typename Graph>\n"
+                          "class StayQueryEvaluatorT {};\n")
+        self.write("bench/roundtrip.cc",
+                   "std::optional<CtGraphView> view;\n")
+        code, findings = self.run_lint()
+        self.assertEqual(code, 1)
+        self.assertEqual([f.split(": ")[0] for f in findings],
+                         ["src/query/fork.h:5", "tools/cli.cc:1",
+                          "tools/cli.cc:2", "tests/store_test.cc:1",
+                          "bench/roundtrip.cc:1", "fuzz/blob_fuzz.cc:1"])
+
+    def test_graph_alias_declarations_comments_and_perfbench_pass(self):
+        self.write_header("src/store/ctgraph_view.h",
+                          "using CtGraphView = CtGraph;\n")
+        self.write_header("src/query/stay_query.h",
+                          "template <typename Graph>\n"
+                          "using StayQueryEvaluatorT = StayQueryEvaluator;\n")
+        self.write("src/store/ct_store.cc",
+                   "// Formerly a CtGraphView; now one CtGraph.\n"
+                   "const char* kDoc = \"StayQueryEvaluatorT\";\n")
+        self.write("perfbench/query.cc",
+                   "std::optional<StayQueryEvaluatorT<store::CtGraphView>> "
+                   "e;\n")
+        self.assertEqual(self.run_lint(), (0, []))
+
 
 if __name__ == "__main__":
     unittest.main()

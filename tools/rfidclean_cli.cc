@@ -15,7 +15,7 @@
 //       DIR/graph.ctg (plus an optional GraphViz rendering). A multi-tag
 //       readings file (header "tag,time,readers") is cleaned as a batch
 //       on N worker threads (runtime/batch_cleaner.h), one
-//       DIR/graph_<tag>.ctg per tag. With --store FILE the cleaned graphs
+//       DIR/graph_<tag>.ctg per tag; --dot is rejected for it. With --store FILE the cleaned graphs
 //       go into one binary ct-store container instead of per-tag text
 //       files (with per-blob input/constraint provenance digests).
 //
@@ -95,7 +95,6 @@
 #include "rfid/reader_placement.h"
 #include "runtime/batch_cleaner.h"
 #include "store/ct_store.h"
-#include "store/ctgraph_view.h"
 #include "store/explain_codec.h"
 #include "store/graph_codec.h"
 
@@ -307,6 +306,13 @@ Result<CtGraph> LoadGraph(const std::string& dir) {
                          "/graph.ctg (run 'clean' first)");
   }
   return ReadCtGraph(is);
+}
+
+/// One tag's graph from the ct-store at `path`, mapped in place.
+Result<CtGraph> LoadStoredGraph(const std::string& path, std::int64_t tag) {
+  Result<store::CtStoreReader> reader = store::CtStoreReader::Open(path);
+  if (!reader.ok()) return reader.status();
+  return reader.value().LoadView(tag);
 }
 
 /// The deterministic deployment + calibration shared by generate and clean.
@@ -589,7 +595,7 @@ int EmitClean(const Args& args, const std::string& dir,
       if (!os) return Fail(("cannot write " + path).c_str());
       WriteCtGraph(graph, os);
     }
-    if (!inputs.multi_tag && !dot.empty()) {
+    if (!dot.empty()) {  // single-tag only: Clean rejects it otherwise
       std::ofstream os(dot);
       if (!os) return Fail("cannot write dot file");
       WriteDot(graph, os, &building);
@@ -679,6 +685,10 @@ int Clean(const Args& args) {
     std::optional<CleanInputs> inputs =
         LoadCleanInputs(args, dir, building.value());
     if (!inputs.has_value()) return 1;
+    if (inputs->multi_tag && !args.Get("dot", "").empty()) {
+      return Fail("--dot renders one graph, but DIR/readings.csv has "
+                  "multiple tags");
+    }
     if (args.GetBool("audit", false)) {
       // Fails the clean itself on any invariant violation (the cleaners'
       // self-audit hook); EmitClean prints the full report.
@@ -761,40 +771,26 @@ int Stay(const Args& args) {
   if (!building.ok()) return Fail(building.status());
   const Timestamp time = static_cast<Timestamp>(args.GetInt("time", 0));
 
-  auto print_distribution = [&](const auto& evaluator, Timestamp t) {
-    std::printf("P(location at t=%d):\n", t);
-    for (const auto& [location, probability] : evaluator.Evaluate(t)) {
-      std::printf("  %-16s %.4f\n",
-                  building.value().location(location).name.c_str(),
-                  probability);
-    }
-  };
-
+  // With --store the graph is evaluated straight off the mapped blob.
   const std::string store_path = args.Get("store", "");
-  if (!store_path.empty()) {
-    // Zero-copy path: evaluate straight off the mapped container blob.
-    const std::optional<int> tag = args.GetStrictInt("tag", 0);
-    if (!tag.has_value()) return Fail("--tag must be an integer");
-    Result<store::CtStoreReader> reader =
-        store::CtStoreReader::Open(store_path);
-    if (!reader.ok()) return Fail(reader.status());
-    Result<store::CtGraphView> view = reader.value().LoadView(*tag);
-    if (!view.ok()) return Fail(view.status());
-    if (time < 0 || time >= view.value().length()) {
-      return Fail("--time outside the monitored interval");
-    }
-    StayQueryEvaluatorT<store::CtGraphView> evaluator(view.value());
-    print_distribution(evaluator, time);
-    return 0;
+  const std::optional<int> tag = args.GetStrictInt("tag", 0);
+  if (!store_path.empty() && !tag.has_value()) {
+    return Fail("--tag must be an integer");
   }
-
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = store_path.empty()
+                              ? LoadGraph(dir)
+                              : LoadStoredGraph(store_path, *tag);
   if (!graph.ok()) return Fail(graph.status());
   if (time < 0 || time >= graph.value().length()) {
     return Fail("--time outside the monitored interval");
   }
   StayQueryEvaluator evaluator(graph.value());
-  print_distribution(evaluator, time);
+  std::printf("P(location at t=%d):\n", time);
+  for (const auto& [location, probability] : evaluator.Evaluate(time)) {
+    std::printf("  %-16s %.4f\n",
+                building.value().location(location).name.c_str(),
+                probability);
+  }
   return 0;
 }
 
