@@ -190,7 +190,6 @@ std::vector<std::pair<Trajectory, double>> CtGraph::EnumerateTrajectories(
     }
     steps.pop_back();
   };
-  if (length() <= 0) return out;
   for (NodeId id : SourceNodes()) {
     dfs(dfs, id, SourceProbability(id));
   }

@@ -1,10 +1,13 @@
 #ifndef RFIDCLEAN_QUERY_STAY_QUERY_H_
 #define RFIDCLEAN_QUERY_STAY_QUERY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
 #include "core/ct_graph.h"
+#include "query/marginals.h"
 
 namespace rfidclean {
 
@@ -19,14 +22,39 @@ namespace rfidclean {
 class StayQueryEvaluator {
  public:
   /// `graph` must outlive the evaluator.
-  explicit StayQueryEvaluator(const CtGraph& graph);
+  explicit StayQueryEvaluator(const CtGraph& graph)
+      : graph_(&graph), marginals_(NodeMarginals(graph)) {}
 
   /// Distribution over locations at time `t` (only locations with positive
   /// probability, unordered). Probabilities sum to 1.
-  std::vector<std::pair<LocationId, double>> Evaluate(Timestamp t) const;
+  std::vector<std::pair<LocationId, double>> Evaluate(Timestamp t) const {
+    std::vector<std::pair<LocationId, double>> answer;
+    for (NodeId id : graph_->NodesAt(t)) {
+      LocationId location = graph_->LocationOf(id);
+      double mass = marginals_[static_cast<std::size_t>(id)];
+      auto it = std::find_if(answer.begin(), answer.end(),
+                             [location](const auto& entry) {
+                               return entry.first == location;
+                             });
+      if (it == answer.end()) {
+        answer.emplace_back(location, mass);
+      } else {
+        it->second += mass;
+      }
+    }
+    return answer;
+  }
 
   /// Probability that the object was at `location` at time `t`.
-  double Probability(Timestamp t, LocationId location) const;
+  double Probability(Timestamp t, LocationId location) const {
+    double mass = 0.0;
+    for (NodeId id : graph_->NodesAt(t)) {
+      if (graph_->LocationOf(id) == location) {
+        mass += marginals_[static_cast<std::size_t>(id)];
+      }
+    }
+    return mass;
+  }
 
  private:
   const CtGraph* graph_;

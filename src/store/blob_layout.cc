@@ -59,6 +59,13 @@ Status DecodeKeys(const ParsedBlob& blob, CtGraphSections* contents) {
   contents->deltas.reserve(static_cast<std::size_t>(num_nodes));
   contents->tl_begin.reserve(static_cast<std::size_t>(num_nodes) + 1);
   contents->tl_begin.push_back(0);
+  // A node costs at least three bytes and a TL entry two: reserving that
+  // bound spares the growth copies of the largest decoded array.
+  const std::uint64_t key_bytes = blob.SectionSize(SectionId::kKeys);
+  if (key_bytes > 3 * num_nodes) {
+    contents->departures.reserve(
+        static_cast<std::size_t>((key_bytes - 3 * num_nodes) / 2));
+  }
   std::int64_t prev_location = 0;
   for (std::uint64_t i = 0; i < num_nodes; ++i) {
     auto key_error = [&](const std::string& detail) {

@@ -55,6 +55,12 @@ inline bool GetVarint(const unsigned char** cursor, const unsigned char* end,
     *cursor = p + 1;
     return true;
   }
+  // Two-byte values (edge-target jumps, TL times) are the next most common.
+  if (end - p >= 2 && p[1] < 0x80u && p[1] != 0) {
+    *value = (p[0] & 0x7Fu) | (static_cast<std::uint64_t>(p[1]) << 7);
+    *cursor = p + 2;
+    return true;
+  }
   std::uint64_t out = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (p == end) return false;
