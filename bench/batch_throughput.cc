@@ -64,26 +64,19 @@ std::uint64_t DigestOutcomes(const std::vector<TagOutcome>& outcomes) {
 }
 
 int Main(int argc, char** argv) {
-  const BenchArgs args(argc, argv,
-                       {"--tags", "--ticks", "--seed", "--jobs", "--out"});
-  const BenchScale scale = BenchScale::FromArgs(args);
-  const char* tags_arg = args.Value("--tags");
-  const char* ticks_arg = args.Value("--ticks");
-  const char* seed_arg = args.Value("--seed");
-  const char* jobs_arg = args.Value("--jobs");
-  const char* out_arg = args.Value("--out");
-  const int num_tags =
-      tags_arg != nullptr ? std::atoi(tags_arg) : (scale.paper ? 128 : 32);
-  const Timestamp ticks = static_cast<Timestamp>(
-      ticks_arg != nullptr ? std::atoi(ticks_arg) : (scale.paper ? 600 : 120));
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      seed_arg != nullptr ? std::atoll(seed_arg) : 1);
-  const std::string out = out_arg != nullptr ? out_arg : "BENCH_batch.json";
-  std::vector<int> job_counts;
-  for (const std::string& token :
-       StrSplit(jobs_arg != nullptr ? jobs_arg : "1,2,4,8", ',')) {
-    if (!token.empty()) job_counts.push_back(std::atoi(token.c_str()));
-  }
+  const Flags flags = ParseBenchFlags(argc, argv,
+                                      {{"tags", FlagSpec::kPositiveInt},
+                                       {"ticks", FlagSpec::kPositiveInt},
+                                       {"seed", FlagSpec::kInt64},
+                                       {"jobs", FlagSpec::kText},
+                                       {"out", FlagSpec::kText}});
+  const BenchScale scale = BenchScale::FromArgs(flags);
+  const int num_tags = flags.GetInt("tags", scale.paper ? 128 : 32);
+  const Timestamp ticks = flags.GetInt("ticks", scale.paper ? 600 : 120);
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(flags.GetInt64("seed", 1));
+  const std::string out = flags.Get("out", "BENCH_batch.json");
+  const std::vector<int> job_counts = IntListFlag(flags, "jobs", "1,2,4,8");
 
   PrintHeader("batch_throughput",
               "Multi-tag batch cleaning: tags/sec and peak RSS vs jobs",

@@ -1,13 +1,13 @@
 #ifndef RFIDCLEAN_BENCH_BENCH_UTIL_H_
 #define RFIDCLEAN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -17,6 +17,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "common/flags.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "constraints/inference.h"
@@ -25,70 +26,42 @@
 
 namespace rfidclean::bench {
 
-/// Command line of a bench binary, checked before anything runs: `--help`
-/// prints the accepted flags and exits 0, and an unknown argument or a value
-/// flag without its value exits 2, so a typo never starts a (possibly
-/// multi-GiB) run or overwrites a BENCH_*.json. Every bench accepts
-/// `--paper` (BenchScale).
-class BenchArgs {
- public:
-  /// `value_flags` take one argument (`--ticks 100,1000`); `switches` none.
-  BenchArgs(int argc, char** argv,
-            std::initializer_list<const char*> value_flags = {},
-            std::initializer_list<const char*> switches = {}) {
-    std::vector<const char*> bare = {"--paper"};
-    bare.insert(bare.end(), switches.begin(), switches.end());
-    const auto listed = [](const std::vector<const char*>& names,
-                           const char* arg) {
-      for (const char* name : names) {
-        if (std::strcmp(name, arg) == 0) return true;
-      }
-      return false;
-    };
-    const std::vector<const char*> valued(value_flags);
-    const auto usage = [&](std::FILE* out) {
-      std::fprintf(out, "usage: %s", argv[0]);
-      for (const char* name : valued) std::fprintf(out, " [%s V]", name);
-      for (const char* name : bare) std::fprintf(out, " [%s]", name);
-      std::fprintf(out, "\n");
-    };
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-        usage(stdout);
-        std::exit(0);
-      }
-      if (listed(bare, arg)) {
-        given_.emplace_back(arg, nullptr);
-      } else if (listed(valued, arg) && i + 1 < argc) {
-        given_.emplace_back(arg, argv[++i]);
-      } else {
-        std::fprintf(stderr, "%s: %s %s\n", argv[0],
-                     listed(valued, arg) ? "missing value for" : "unknown flag",
-                     arg);
-        usage(stderr);
-        std::exit(2);
-      }
-    }
+/// The command line of a bench binary, checked before anything runs:
+/// `--help` prints the accepted flags and exits 0, and a usage error
+/// (common/flags.h) exits 2, so a typo never starts a (possibly multi-GiB)
+/// run or overwrites a BENCH_*.json. Every bench accepts `--paper`.
+inline Flags ParseBenchFlags(int argc, char** argv,
+                             std::vector<FlagSpec> specs = {}) {
+  specs.push_back({"paper", FlagSpec::kSwitch});
+  Result<Flags> flags = Flags::Parse(specs, argc - 1, argv + 1);
+  if (flags.ok() && !flags->help()) return std::move(flags).value();
+  std::FILE* out = flags.ok() ? stdout : stderr;
+  if (!flags.ok()) {
+    std::fprintf(out, "%s: %s\n", argv[0], flags.status().message().c_str());
   }
+  std::fprintf(out, "usage: %s", argv[0]);
+  for (const FlagSpec& spec : specs) {
+    std::fprintf(out, spec.kind == FlagSpec::kSwitch ? " [--%s]" : " [--%s V]",
+                 spec.name);
+  }
+  std::fprintf(out, "\n");
+  std::exit(flags.ok() ? 0 : 2);
+}
 
-  /// The value given for `name` (its first occurrence), or nullptr.
-  const char* Value(const char* name) const {
-    for (const auto& [flag, value] : given_) {
-      if (flag == name) return value;
+/// The comma-separated positive integers of flag `name` (`fallback` when
+/// it is absent); exits 2 like ParseBenchFlags on a malformed entry.
+inline std::vector<int> IntListFlag(const Flags& flags, const char* name,
+                                    const char* fallback) {
+  std::vector<int> values;
+  for (const std::string& token : StrSplit(flags.Get(name, fallback), ',')) {
+    if (token.empty()) continue;
+    if (!ParseNumber(token, &values.emplace_back()) || values.back() < 1) {
+      std::fprintf(stderr, "--%s must be a list of positive integers\n", name);
+      std::exit(2);
     }
-    return nullptr;
   }
-  bool Has(const char* name) const {
-    for (const auto& given : given_) {
-      if (given.first == name) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::pair<std::string, const char*>> given_;
-};
+  return values;
+}
 
 /// Workload scale of a figure bench. Quick mode (the default) keeps the
 /// paper's durations (10/60/90/120 min) but averages over 2 trajectories
@@ -98,16 +71,16 @@ class BenchArgs {
 struct BenchScale {
   bool paper = false;
 
-  static BenchScale FromArgs(const BenchArgs& args) {
+  static BenchScale FromArgs(const Flags& flags) {
     BenchScale scale;
-    scale.paper = args.Has("--paper");
+    scale.paper = flags.Has("paper");
     const char* env = std::getenv("RFIDCLEAN_BENCH_MODE");
     if (env != nullptr && std::strcmp(env, "paper") == 0) scale.paper = true;
     return scale;
   }
   /// For benches whose only flag is --paper.
   static BenchScale FromArgs(int argc, char** argv) {
-    return FromArgs(BenchArgs(argc, argv));
+    return FromArgs(ParseBenchFlags(argc, argv));
   }
 
   int TrajectoriesPerDuration() const { return paper ? 25 : 2; }
@@ -116,6 +89,16 @@ struct BenchScale {
 
   const char* Label() const { return paper ? "paper" : "quick"; }
 };
+
+/// Repetitions of one point: a fixed time budget per point so short runs
+/// average away scheduling noise; --reps overrides, --paper triples.
+inline int RepsFor(const Flags& flags, const BenchScale& scale,
+                   Timestamp ticks) {
+  const int reps = flags.GetInt(
+      "reps",
+      std::max(3, static_cast<int>(30000 / std::max<Timestamp>(ticks, 1))));
+  return scale.paper ? 3 * reps : reps;
+}
 
 inline DatasetOptions MakeSynOptions(int which, const BenchScale& scale) {
   DatasetOptions options =
@@ -167,11 +150,10 @@ inline std::size_t PeakRssBytes() {
   std::ifstream is("/proc/self/status");
   std::string line;
   while (std::getline(is, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(
-                 std::strtoull(line.c_str() + 6, nullptr, 10)) *
-             1024;
-    }
+    if (!line.starts_with("VmHWM:")) continue;
+    const std::vector<std::string> fields = Tokenize(line);  // VmHWM: N kB
+    std::size_t kib = 0;
+    if (fields.size() >= 2 && ParseNumber(fields[1], &kib)) return kib * 1024;
   }
 #endif
 #if defined(__unix__)

@@ -52,6 +52,15 @@
 namespace rfidclean::bench {
 namespace {
 
+/// The median of one phase over all reps of a point, as for the total.
+double MedianOf(const std::vector<BuildStats>& runs,
+                double BuildStats::*phase) {
+  std::vector<double> values;
+  for (const BuildStats& run : runs) values.push_back(run.*phase);
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 std::uint64_t Fnv1a(std::uint64_t hash, const std::string& text) {
   for (unsigned char c : text) {
     hash ^= c;
@@ -132,8 +141,8 @@ LSequence MakeSparseSequence(const Dataset::Item& item,
 /// the pruning win (time ratio + nodes pruned) is emitted for the bench
 /// regression gate (BENCH_core_sparse.json, gated with --direction higher
 /// on nodes_pruned).
-int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
-              const char* reps_arg, std::uint64_t seed,
+int RunSparse(const Flags& flags, const BenchScale& scale,
+              const std::vector<Timestamp>& durations, std::uint64_t seed,
               const std::string& out) {
   PrintHeader("core_build --sparse",
               "Preflight pruning win on sparse feeds: anchor tick every 8, "
@@ -168,14 +177,11 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
     Rng rng(seed, /*stream=*/0x5BA55E + static_cast<std::uint64_t>(ticks));
     const LSequence sequence = MakeSparseSequence(item, constraints, rng);
 
-    int reps = reps_arg != nullptr
-                   ? std::atoi(reps_arg)
-                   : std::max(3, static_cast<int>(30000 / std::max<Timestamp>(
-                                                              ticks, 1)));
-    if (scale.paper) reps *= 3;
+    const int reps = RepsFor(flags, scale, ticks);
 
     BuildStats stats;
     BuildStats raw_stats;
+    std::vector<BuildStats> runs;
     std::vector<double> millis;
     std::vector<double> raw_millis;
     std::uint64_t digest = 0xcbf29ce484222325ULL;
@@ -184,6 +190,7 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
       Result<CtGraph> graph = pruned_builder.Build(sequence, &stats);
       millis.push_back(watch.ElapsedMillis());
       RFID_CHECK(graph.ok());
+      runs.push_back(stats);
 
       watch = Stopwatch();
       Result<CtGraph> raw_graph = raw_builder.Build(sequence, &raw_stats);
@@ -232,7 +239,9 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
         .Add("nodes_pruned", stats.preflight_candidates_pruned)
         .Add("peak_nodes", stats.peak_nodes)
         .Add("peak_nodes_no_preflight", raw_stats.peak_nodes)
-        .Add("preflight_millis", stats.preflight_millis)
+        .Add("forward_millis", MedianOf(runs, &BuildStats::forward_millis))
+        .Add("backward_millis", MedianOf(runs, &BuildStats::backward_millis))
+        .Add("preflight_millis", MedianOf(runs, &BuildStats::preflight_millis))
         .AddHex64("digest", digest);
   }
   table.Print(std::cout);
@@ -243,39 +252,30 @@ int RunSparse(const BenchScale& scale, const std::vector<Timestamp>& durations,
 }
 
 int Main(int argc, char** argv) {
-  const BenchArgs args(argc, argv,
-                       {"--ticks", "--reps", "--seed", "--out", "--trace",
-                        "--explain", "--forward-threads"},
-                       {"--sparse", "--force-scalar"});
-  const BenchScale scale = BenchScale::FromArgs(args);
-  const char* ticks_arg = args.Value("--ticks");
-  const char* reps_arg = args.Value("--reps");
-  const char* seed_arg = args.Value("--seed");
-  const char* out_arg = args.Value("--out");
-  const char* trace_arg = args.Value("--trace");
-  const char* explain_arg = args.Value("--explain");
-  const char* threads_arg = args.Value("--forward-threads");
-  const bool sparse = args.Has("--sparse");
+  const Flags flags = ParseBenchFlags(
+      argc, argv,
+      {{"ticks", FlagSpec::kText}, {"reps", FlagSpec::kPositiveInt},
+       {"seed", FlagSpec::kInt64}, {"out", FlagSpec::kText},
+       {"trace", FlagSpec::kText}, {"explain", FlagSpec::kText},
+       {"forward-threads", FlagSpec::kPositiveInt},
+       {"sparse", FlagSpec::kSwitch}, {"force-scalar", FlagSpec::kSwitch}});
+  const BenchScale scale = BenchScale::FromArgs(flags);
+  const std::string trace_path = flags.Get("trace");
+  const std::string explain_path = flags.Get("explain");
+  const bool sparse = flags.Has("sparse");
   // A/B hook for the SIMD win: --force-scalar routes every dispatched
   // kernel through the scalar reference (digests must not move).
-  if (args.Has("--force-scalar")) {
+  if (flags.Has("force-scalar")) {
     simd::ForceScalarForTesting(true);
   }
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      seed_arg != nullptr ? std::atoll(seed_arg) : 1);
-  const std::string out =
-      out_arg != nullptr
-          ? out_arg
-          : (sparse ? "BENCH_core_sparse.json" : "BENCH_core.json");
-  std::vector<Timestamp> durations;
-  for (const std::string& token :
-       StrSplit(ticks_arg != nullptr ? ticks_arg : "100,1000,10000", ',')) {
-    if (!token.empty()) {
-      durations.push_back(static_cast<Timestamp>(std::atoi(token.c_str())));
-    }
-  }
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(flags.GetInt64("seed", 1));
+  const std::string out = flags.Get(
+      "out", sparse ? "BENCH_core_sparse.json" : "BENCH_core.json");
+  const std::vector<Timestamp> durations =
+      IntListFlag(flags, "ticks", "100,1000,10000");
 
-  if (sparse) return RunSparse(scale, durations, reps_arg, seed, out);
+  if (sparse) return RunSparse(flags, scale, durations, seed, out);
 
   PrintHeader("core_build",
               "Single-tag ct-graph construction: median build time and "
@@ -291,11 +291,10 @@ int Main(int argc, char** argv) {
   ConstraintSet constraints =
       dataset->MakeConstraints(ConstraintFamilies::DuLtTt());
   CleanOptions build_options;
-  build_options.forward_threads =
-      threads_arg != nullptr ? std::atoi(threads_arg) : 1;
+  build_options.forward_threads = flags.GetInt("forward-threads", 1);
   CtGraphBuilder builder(constraints, build_options);
 
-  if (trace_arg != nullptr) {
+  if (!trace_path.empty()) {
     obs::TraceOptions trace_options;
     trace_options.enabled = true;
     obs::StartTracing(trace_options);
@@ -312,8 +311,8 @@ int Main(int argc, char** argv) {
       .Add("dataset", "SYN1")
       .Add("families", "DU+LT+TT")
       .Add("seed", static_cast<long long>(seed))
-      .Add("traced", trace_arg != nullptr ? 1 : 0)
-      .Add("explained", explain_arg != nullptr ? 1 : 0)
+      .Add("traced", trace_path.empty() ? 0 : 1)
+      .Add("explained", explain_path.empty() ? 0 : 1)
       .Add("simd_active", simd::VectorKernelsActive() ? 1 : 0)
       .Add("forward_threads", build_options.forward_threads);
 
@@ -322,15 +321,10 @@ int Main(int argc, char** argv) {
                "final nodes", "peak RSS", "digest"});
   for (const Dataset::Item& item : dataset->items()) {
     const Timestamp ticks = item.duration;
-    // Repetitions: aim for a fixed time budget per point so short builds
-    // average away scheduling noise; --reps overrides, --paper triples.
-    int reps = reps_arg != nullptr
-                   ? std::atoi(reps_arg)
-                   : std::max(3, static_cast<int>(30000 / std::max<Timestamp>(
-                                                              ticks, 1)));
-    if (scale.paper) reps *= 3;
+    const int reps = RepsFor(flags, scale, ticks);
 
     BuildStats stats;
+    std::vector<BuildStats> runs;
     std::vector<double> millis;
     millis.reserve(static_cast<std::size_t>(reps));
     std::uint64_t digest = 0xcbf29ce484222325ULL;
@@ -338,7 +332,7 @@ int Main(int argc, char** argv) {
       // Scope the obs counters to the final rep so the emitted stats_*
       // fields describe exactly one build (and stay rep-count-invariant).
       if (r == reps - 1) obs::CleaningStats::Reset();
-      if (explain_arg != nullptr) {
+      if (!explain_path.empty()) {
         // Re-arm per rep (outside the stopwatch): every timed build runs
         // fully armed, and each re-arm clears the previous rep's summary so
         // the session ends holding exactly one summary for this point.
@@ -351,6 +345,7 @@ int Main(int argc, char** argv) {
       const double elapsed = watch.ElapsedMillis();
       RFID_CHECK(graph.ok());
       millis.push_back(elapsed);
+      runs.push_back(run_stats);
       stats = run_stats;
       if (r == 0) {
         std::ostringstream os;
@@ -358,7 +353,7 @@ int Main(int argc, char** argv) {
         digest = Fnv1a(digest, os.str());
       }
     }
-    if (explain_arg != nullptr) {
+    if (!explain_path.empty()) {
       const obs::ExplainCollection point = obs::CollectExplain();
       explain_report.tags.insert(explain_report.tags.end(),
                                  point.tags.begin(), point.tags.end());
@@ -377,6 +372,8 @@ int Main(int argc, char** argv) {
     }
     std::sort(millis.begin(), millis.end());
     const double median = millis[millis.size() / 2];
+    const double forward = MedianOf(runs, &BuildStats::forward_millis);
+    const double backward = MedianOf(runs, &BuildStats::backward_millis);
     // Fastest rep: the overhead gate compares this between two bench
     // processes, and on shared machines the minimum rejects co-tenant
     // stalls far better than the median of a handful of reps.
@@ -394,8 +391,7 @@ int Main(int argc, char** argv) {
 
     table.AddRow({StrFormat("%d", ticks), StrFormat("%d", reps),
                   StrFormat("%.2f", median),
-                  StrFormat("%.2f", stats.forward_millis),
-                  StrFormat("%.2f", stats.backward_millis),
+                  StrFormat("%.2f", forward), StrFormat("%.2f", backward),
                   StrFormat("%.0f", ns_per_timestamp),
                   StrFormat("%.0f", nodes_edges_per_sec),
                   StrFormat("%zu", stats.peak_nodes),
@@ -408,8 +404,9 @@ int Main(int argc, char** argv) {
         .Add("reps", reps)
         .Add("millis", median)
         .Add("millis_min", best)
-        .Add("forward_millis", stats.forward_millis)
-        .Add("backward_millis", stats.backward_millis)
+        .Add("forward_millis", forward)
+        .Add("backward_millis", backward)
+        .Add("preflight_millis", MedianOf(runs, &BuildStats::preflight_millis))
         .Add("ns_per_timestamp", ns_per_timestamp)
         .Add("ns_per_timestamp_min", ns_per_timestamp_min)
         .Add("nodes_edges_per_sec", nodes_edges_per_sec, 1)
@@ -437,31 +434,32 @@ int Main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  if (trace_arg != nullptr) {
+  if (!trace_path.empty()) {
     const obs::TraceCollection collection = obs::CollectTrace();
-    std::ofstream os(trace_arg);
+    std::ofstream os(trace_path);
     if (!os) {
-      std::fprintf(stderr, "error: cannot write trace file %s\n", trace_arg);
+      std::fprintf(stderr, "error: cannot write trace file %s\n",
+                   trace_path.c_str());
       return 1;
     }
     WriteChromeTrace(collection, os);
     os << '\n';
     obs::StopTracing();
-    std::printf("wrote %s (%zu trace events)\n", trace_arg,
+    std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
                 collection.NumEvents());
   }
 
-  if (explain_arg != nullptr) {
+  if (!explain_path.empty()) {
     obs::StopExplain();
-    std::ofstream os(explain_arg);
+    std::ofstream os(explain_path);
     if (!os) {
       std::fprintf(stderr, "error: cannot write explain file %s\n",
-                   explain_arg);
+                   explain_path.c_str());
       return 1;
     }
     WriteExplainReport(explain_report, os);
     os << '\n';
-    std::printf("wrote %s (%zu tag summaries)\n", explain_arg,
+    std::printf("wrote %s (%zu tag summaries)\n", explain_path.c_str(),
                 explain_report.tags.size());
   }
 

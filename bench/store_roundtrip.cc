@@ -41,26 +41,18 @@ namespace rfidclean::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  const BenchArgs args(argc, argv,
-                       {"--ticks", "--reps", "--seed", "--out", "--work"});
-  const BenchScale scale = BenchScale::FromArgs(args);
-  const char* ticks_arg = args.Value("--ticks");
-  const char* reps_arg = args.Value("--reps");
-  const char* seed_arg = args.Value("--seed");
-  const char* out_arg = args.Value("--out");
-  const char* work_arg = args.Value("--work");
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      seed_arg != nullptr ? std::atoll(seed_arg) : 1);
-  const std::string out = out_arg != nullptr ? out_arg : "BENCH_store.json";
-  const std::string work =
-      work_arg != nullptr ? work_arg : "BENCH_store_work.cts";
-  std::vector<Timestamp> durations;
-  for (const std::string& token :
-       StrSplit(ticks_arg != nullptr ? ticks_arg : "100,1000,10000", ',')) {
-    if (!token.empty()) {
-      durations.push_back(static_cast<Timestamp>(std::atoi(token.c_str())));
-    }
-  }
+  const Flags flags = ParseBenchFlags(
+      argc, argv,
+      {{"ticks", FlagSpec::kText}, {"reps", FlagSpec::kPositiveInt},
+       {"seed", FlagSpec::kInt64}, {"out", FlagSpec::kText},
+       {"work", FlagSpec::kText}});
+  const BenchScale scale = BenchScale::FromArgs(flags);
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(flags.GetInt64("seed", 1));
+  const std::string out = flags.Get("out", "BENCH_store.json");
+  const std::string work = flags.Get("work", "BENCH_store_work.cts");
+  const std::vector<Timestamp> durations =
+      IntListFlag(flags, "ticks", "100,1000,10000");
 
   PrintHeader("store_roundtrip",
               "Binary ct-store economics: blob-vs-text bytes and mmap "
@@ -88,11 +80,7 @@ int Main(int argc, char** argv) {
                "digest"});
   for (const Dataset::Item& item : dataset->items()) {
     const Timestamp ticks = item.duration;
-    int reps = reps_arg != nullptr
-                   ? std::atoi(reps_arg)
-                   : std::max(3, static_cast<int>(30000 / std::max<Timestamp>(
-                                                              ticks, 1)));
-    if (scale.paper) reps *= 3;
+    const int reps = RepsFor(flags, scale, ticks);
 
     // Rebuild cost: the price a reader pays today to get a queryable graph
     // from the raw feed.

@@ -38,6 +38,18 @@ std::string_view StripWhitespace(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
+std::vector<std::string> Tokenize(std::string_view line) {
+  std::vector<std::string> tokens;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    const std::size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    if (i > start) tokens.emplace_back(line.substr(start, i - start));
+  }
+  return tokens;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -254,11 +254,11 @@ std::size_t CtGraph::ApproximateBytes() const {
              std::size_t{4} * (NumNodes() + 1) +
              std::size_t{8} * (s.NumSources() + NumEdges());
   }
-  bytes += s.locations.capacity() * sizeof(LocationId) +
-           s.deltas.capacity() * sizeof(Timestamp) +
-           s.tl_begin.capacity() * sizeof(std::uint32_t) +
-           s.departures.capacity() * sizeof(Departure) +
-           s.edge_targets.capacity() * sizeof(NodeId);
+  bytes += s.locations.size() * sizeof(LocationId) +
+           s.deltas.size() * sizeof(Timestamp) +
+           s.tl_begin.size() * sizeof(std::uint32_t) +
+           s.departures.size() * sizeof(Departure) +
+           s.edge_targets.size() * sizeof(NodeId);
   return bytes;
 }
 

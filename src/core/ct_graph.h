@@ -263,9 +263,10 @@ class CtGraph {
   /// Verifies the class invariants within `tolerance`.
   Status CheckConsistency(double tolerance = 1e-9) const;
 
-  /// Estimated resident size of the graph in bytes: the fixed-width
-  /// sections plus the capacities of the decoded arrays. This is the
-  /// quantity reported by the §6.7 memory experiment.
+  /// Size of the graph's data in bytes: the fixed-width sections plus the
+  /// sizes (not capacities, so every copy of a graph agrees) of the decoded
+  /// arrays. This is the quantity reported by the
+  /// §6.7 memory experiment.
   std::size_t ApproximateBytes() const;
 
   /// Stable FNV-1a digest of the graph structure: length, every node's

@@ -1,6 +1,5 @@
 #include "io/building_io.h"
 
-#include <charconv>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -15,32 +14,11 @@ namespace rfidclean {
 
 namespace {
 
-std::vector<std::string> Tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(line.substr(start, i - start));
-  }
-  return tokens;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  // from_chars accepts "inf"/"nan" spellings; non-finite geometry would
-  // poison every downstream distance computation, so treat it as malformed
-  // input rather than a number.
-  return ec == std::errc() && ptr == text.data() + text.size() &&
-         std::isfinite(*out);
-}
-
-bool ParseInt(const std::string& text, int* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
+// ParseNumber accepts "inf"/"nan" spellings; non-finite geometry would
+// poison every downstream distance computation, so treat it as malformed
+// input rather than a number.
+bool ParseFinite(const std::string& text, double* out) {
+  return ParseNumber(text, out) && std::isfinite(*out);
 }
 
 std::optional<LocationKind> ParseKind(const std::string& text) {
@@ -99,11 +77,11 @@ Result<Building> ReadBuilding(std::istream& is) {
       if (builder.has_value()) return error("duplicate 'building' line");
       double coords[4];
       int floors = 0;
-      if (tokens.size() != 6 || !ParseInt(tokens[1], &floors) ||
-          !ParseDouble(tokens[2], &coords[0]) ||
-          !ParseDouble(tokens[3], &coords[1]) ||
-          !ParseDouble(tokens[4], &coords[2]) ||
-          !ParseDouble(tokens[5], &coords[3]) || floors < 1) {
+      if (tokens.size() != 6 || !ParseNumber(tokens[1], &floors) ||
+          !ParseFinite(tokens[2], &coords[0]) ||
+          !ParseFinite(tokens[3], &coords[1]) ||
+          !ParseFinite(tokens[4], &coords[2]) ||
+          !ParseFinite(tokens[5], &coords[3]) || floors < 1) {
         return error("expected 'building <floors> <minx> <miny> <maxx> <maxy>'");
       }
       builder.emplace(
@@ -112,11 +90,11 @@ Result<Building> ReadBuilding(std::istream& is) {
       if (!builder.has_value()) return error("'location' before 'building'");
       double coords[4];
       int floor = 0;
-      if (tokens.size() != 8 || !ParseInt(tokens[3], &floor) ||
-          !ParseDouble(tokens[4], &coords[0]) ||
-          !ParseDouble(tokens[5], &coords[1]) ||
-          !ParseDouble(tokens[6], &coords[2]) ||
-          !ParseDouble(tokens[7], &coords[3])) {
+      if (tokens.size() != 8 || !ParseNumber(tokens[3], &floor) ||
+          !ParseFinite(tokens[4], &coords[0]) ||
+          !ParseFinite(tokens[5], &coords[1]) ||
+          !ParseFinite(tokens[6], &coords[2]) ||
+          !ParseFinite(tokens[7], &coords[3])) {
         return error(
             "expected 'location <name> <kind> <floor> <minx> <miny> <maxx> "
             "<maxy>'");
@@ -131,8 +109,8 @@ Result<Building> ReadBuilding(std::istream& is) {
     } else if (kind == "door") {
       if (!builder.has_value()) return error("'door' before 'building'");
       double x = 0.0, y = 0.0, width = 0.0;
-      if (tokens.size() != 6 || !ParseDouble(tokens[3], &x) ||
-          !ParseDouble(tokens[4], &y) || !ParseDouble(tokens[5], &width)) {
+      if (tokens.size() != 6 || !ParseFinite(tokens[3], &x) ||
+          !ParseFinite(tokens[4], &y) || !ParseFinite(tokens[5], &width)) {
         return error("expected 'door <a> <b> <x> <y> <width>'");
       }
       auto a = by_name.find(tokens[1]);
@@ -144,7 +122,7 @@ Result<Building> ReadBuilding(std::istream& is) {
     } else if (kind == "stairs") {
       if (!builder.has_value()) return error("'stairs' before 'building'");
       double length = 0.0;
-      if (tokens.size() != 4 || !ParseDouble(tokens[3], &length)) {
+      if (tokens.size() != 4 || !ParseFinite(tokens[3], &length)) {
         return error("expected 'stairs <lower> <upper> <length>'");
       }
       auto lower = by_name.find(tokens[1]);

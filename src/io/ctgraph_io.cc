@@ -1,6 +1,5 @@
 #include "io/ctgraph_io.h"
 
-#include <charconv>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -8,34 +7,6 @@
 #include "common/strings.h"
 
 namespace rfidclean {
-
-namespace {
-
-std::vector<std::string> Tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(line.substr(start, i - start));
-  }
-  return tokens;
-}
-
-bool ParseLong(const std::string& text, long* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-}  // namespace
 
 void WriteCtGraph(const CtGraph& graph, std::ostream& os) {
   os << StrFormat("ctgraph %d %zu\n", graph.length(), graph.NumNodes());
@@ -78,8 +49,8 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
       long parsed_length = 0;
       long num_nodes = 0;
       if (saw_header || tokens.size() != 3 ||
-          !ParseLong(tokens[1], &parsed_length) ||
-          !ParseLong(tokens[2], &num_nodes) || parsed_length < 1 ||
+          !ParseNumber(tokens[1], &parsed_length) ||
+          !ParseNumber(tokens[2], &num_nodes) || parsed_length < 1 ||
           num_nodes < 1) {
         return error("expected 'ctgraph <length> <num_nodes>'");
       }
@@ -91,10 +62,11 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
       if (!saw_header) return error("'node' before 'ctgraph' header");
       long id = 0, time = 0, location = 0, delta = 0;
       double source_probability = 0.0;
-      if (tokens.size() < 6 || !ParseLong(tokens[1], &id) ||
-          !ParseLong(tokens[2], &time) || !ParseLong(tokens[3], &location) ||
-          !ParseLong(tokens[4], &delta) ||
-          !ParseDouble(tokens[5], &source_probability)) {
+      if (tokens.size() < 6 || !ParseNumber(tokens[1], &id) ||
+          !ParseNumber(tokens[2], &time) ||
+          !ParseNumber(tokens[3], &location) ||
+          !ParseNumber(tokens[4], &delta) ||
+          !ParseNumber(tokens[5], &source_probability)) {
         return error(
             "expected 'node <id> <time> <location> <delta> <source_prob> "
             "<tl>*'");
@@ -110,7 +82,7 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
       }
       node_seen[static_cast<std::size_t>(id)] = true;
       if (!std::isfinite(source_probability)) {
-        // std::from_chars accepts "inf"/"nan" spellings; a non-finite mass
+        // ParseNumber accepts "inf"/"nan" spellings; a non-finite mass
         // would poison every conditioned probability downstream.
         return error("non-finite source probability");
       }
@@ -123,8 +95,8 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
         std::size_t comma = tokens[i].find(',');
         long tl_time = 0, tl_location = 0;
         if (comma == std::string::npos ||
-            !ParseLong(tokens[i].substr(0, comma), &tl_time) ||
-            !ParseLong(tokens[i].substr(comma + 1), &tl_location)) {
+            !ParseNumber(tokens[i].substr(0, comma), &tl_time) ||
+            !ParseNumber(tokens[i].substr(comma + 1), &tl_location)) {
           return error("malformed TL entry, expected '<time>,<location>'");
         }
         node.key.departures.push_back(
@@ -135,9 +107,9 @@ Result<CtGraph> ReadCtGraph(std::istream& is) {
       if (!saw_header) return error("'edge' before 'ctgraph' header");
       long from = 0, to = 0;
       double probability = 0.0;
-      if (tokens.size() != 4 || !ParseLong(tokens[1], &from) ||
-          !ParseLong(tokens[2], &to) ||
-          !ParseDouble(tokens[3], &probability)) {
+      if (tokens.size() != 4 || !ParseNumber(tokens[1], &from) ||
+          !ParseNumber(tokens[2], &to) ||
+          !ParseNumber(tokens[3], &probability)) {
         return error("expected 'edge <from> <to> <probability>'");
       }
       if (from < 0 || static_cast<std::size_t>(from) >= nodes.size()) {

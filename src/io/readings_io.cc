@@ -1,6 +1,5 @@
 #include "io/readings_io.h"
 
-#include <charconv>
 #include <limits>
 #include <map>
 #include <string>
@@ -14,18 +13,6 @@
 namespace rfidclean {
 
 namespace {
-
-bool ParseInt(std::string_view text, long* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool ParseInt64(std::string_view text, long long* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
 
 void WriteReaderSet(const ReaderSet& readers, std::ostream& os) {
   for (std::size_t i = 0; i < readers.size(); ++i) {
@@ -44,12 +31,12 @@ Status ParseTimeAndReaders(std::string_view content, int line_number,
         StrFormat("line %d: expected 'time,readers'", line_number));
   }
   long time = 0;
-  if (!ParseInt(StripWhitespace(content.substr(0, comma)), &time) ||
+  if (!ParseNumber(StripWhitespace(content.substr(0, comma)), &time) ||
       time < 0) {
     return InvalidArgumentError(
         StrFormat("line %d: invalid timestamp", line_number));
   }
-  // Range-check before narrowing: Timestamp is 32-bit while ParseInt
+  // Range-check before narrowing: Timestamp is 32-bit while ParseNumber
   // accepts the full `long` range, so a value like 4294967296 would
   // otherwise truncate to 0 and silently misparse the row.
   if (time > static_cast<long>(std::numeric_limits<Timestamp>::max())) {
@@ -61,7 +48,7 @@ Status ParseTimeAndReaders(std::string_view content, int line_number,
     std::string_view id_text = StripWhitespace(token);
     if (id_text.empty()) continue;
     long id = 0;
-    if (!ParseInt(id_text, &id) || id < 0) {
+    if (!ParseNumber(id_text, &id) || id < 0) {
       return InvalidArgumentError(
           StrFormat("line %d: invalid reader id", line_number));
     }
@@ -165,7 +152,7 @@ Result<std::vector<TagReadings>> ReadMultiTagReadingsCsv(std::istream& is) {
           StrFormat("line %d: expected 'tag,time,readers'", line_number)));
     }
     long long tag = 0;
-    if (!ParseInt64(StripWhitespace(content.substr(0, comma)), &tag) ||
+    if (!ParseNumber(StripWhitespace(content.substr(0, comma)), &tag) ||
         tag < 0) {
       return reject(InvalidArgumentError(
           StrFormat("line %d: invalid tag id", line_number)));

@@ -1,8 +1,6 @@
 #include "query/pattern.h"
 
-#include <charconv>
 #include <limits>
-#include <system_error>
 
 #include "common/strings.h"
 
@@ -11,14 +9,7 @@ namespace rfidclean {
 Result<Pattern> Pattern::Parse(std::string_view text,
                                const NameResolver& resolver) {
   std::vector<PatternItem> items;
-  std::size_t i = 0;
-  auto is_space = [](char c) { return c == ' ' || c == '\t'; };
-  while (i < text.size()) {
-    while (i < text.size() && is_space(text[i])) ++i;
-    if (i >= text.size()) break;
-    std::size_t start = i;
-    while (i < text.size() && !is_space(text[i])) ++i;
-    std::string_view token = text.substr(start, i - start);
+  for (const std::string& token : Tokenize(text)) {
     if (token == "?") {
       items.push_back(PatternItem::Wildcard());
       continue;
@@ -26,36 +17,30 @@ Result<Pattern> Pattern::Parse(std::string_view text,
     std::string_view name = token;
     Timestamp min_duration = 1;
     std::size_t bracket = token.find('[');
-    if (bracket != std::string_view::npos) {
+    if (bracket != std::string::npos) {
       if (token.back() != ']' || bracket + 2 > token.size()) {
         return InvalidArgumentError(
-            StrFormat("malformed condition '%.*s'",
-                      static_cast<int>(token.size()), token.data()));
+            StrFormat("malformed condition '%s'", token.c_str()));
       }
-      name = token.substr(0, bracket);
-      const std::string_view digits =
-          token.substr(bracket + 1, token.size() - bracket - 2);
-      // Strict parse, mirroring the CLI's --jobs handling: full
-      // consumption required, and out-of-range counts are rejected
-      // instead of wrapping through a silent narrowing cast (strtol used
-      // to saturate at LONG_MAX unnoticed and then truncate to 32 bits).
+      name = name.substr(0, bracket);
+      // Out-of-range counts are rejected instead of wrapping through a
+      // silent narrowing cast (strtol used to saturate at LONG_MAX
+      // unnoticed and then truncate to 32 bits).
       long long value = 0;
-      const char* const digits_end = digits.data() + digits.size();
-      const std::from_chars_result parsed =
-          std::from_chars(digits.data(), digits_end, value);
-      if (parsed.ec == std::errc::result_out_of_range ||
-          (parsed.ec == std::errc() && parsed.ptr == digits_end &&
-           value > static_cast<long long>(
-               std::numeric_limits<Timestamp>::max()))) {
+      bool out_of_range = false;
+      const bool parsed = ParseNumber(
+          std::string_view(token).substr(bracket + 1,
+                                         token.size() - bracket - 2),
+          &value, &out_of_range);
+      if (out_of_range ||
+          (parsed && value > static_cast<long long>(
+                                 std::numeric_limits<Timestamp>::max()))) {
         return InvalidArgumentError(
-            StrFormat("duration out of range in '%.*s'",
-                      static_cast<int>(token.size()), token.data()));
+            StrFormat("duration out of range in '%s'", token.c_str()));
       }
-      if (parsed.ec != std::errc() || parsed.ptr != digits_end ||
-          value < 1) {
+      if (!parsed || value < 1) {
         return InvalidArgumentError(
-            StrFormat("invalid duration in '%.*s'",
-                      static_cast<int>(token.size()), token.data()));
+            StrFormat("invalid duration in '%s'", token.c_str()));
       }
       min_duration = static_cast<Timestamp>(value);
     }

@@ -141,4 +141,44 @@ if(found EQUAL -1)
           "'${stub_payload}'")
 endif()
 
+# Usage errors — an unknown flag, a malformed or out-of-range number — exit
+# 2 with a diagnostic naming the flag, before any work: generate writes no
+# file, and a typo'd flag is never ignored (--job 4 used to clean on one
+# job, --time abc used to answer for t=0).
+function(expect_usage_error substr)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "expected exit 2, got ${code}: ${ARGN}\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "${substr}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+            "expected '${substr}' in the diagnostics of: ${ARGN}\n${err}")
+  endif()
+endfunction()
+
+foreach(bad "--floors;abc" "--duration;0" "--duration;abc" "--floors;0")
+  set(fresh ${WORK_DIR}/usage_generate)
+  file(REMOVE_RECURSE ${fresh})
+  file(MAKE_DIRECTORY ${fresh})
+  list(GET bad 0 flag)
+  expect_usage_error("${flag} must be a positive integer"
+                     ${CLI} generate --out ${fresh} ${bad})
+  file(GLOB written ${fresh}/*)
+  if(written)
+    message(FATAL_ERROR "generate ${bad} wrote files: ${written}")
+  endif()
+endforeach()
+expect_usage_error("--time must be an integer"
+                   ${CLI} stay --dir ${WORK_DIR} --time abc)
+expect_usage_error("unknown flag --job"
+                   ${CLI} clean --dir ${WORK_DIR} --job 4)
+expect_usage_error("unknown flag --stor"
+                   ${CLI} clean --dir ${WORK_DIR} --jobs 4 --stor F)
+expect_usage_error("unexpected argument 'extra'"
+                   ${CLI} report --dir ${WORK_DIR} extra)
+expect_usage_error("missing value for --dir" ${CLI} report --dir)
+expect_usage_error("unknown command 'frobnicate'" ${CLI} frobnicate)
+
 message(STATUS "cli smoke test passed")

@@ -1,8 +1,11 @@
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/small_vector.h"
@@ -350,6 +353,156 @@ TEST(StringsTest, HumanBytesScales) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(640 * 1024), "640.0 KiB");
   EXPECT_EQ(HumanBytes(25 * 1024 * 1024), "25.0 MiB");
+}
+
+TEST(StringsTest, TokenizeSplitsOnSpacesAndTabs) {
+  EXPECT_EQ(Tokenize("  node 1\t2  3,4 "),
+            (std::vector<std::string>{"node", "1", "2", "3,4"}));
+  EXPECT_TRUE(Tokenize("").empty());
+  EXPECT_TRUE(Tokenize(" \t ").empty());
+}
+
+TEST(ParseNumberTest, ReadsTheWholeToken) {
+  int value = 0;
+  EXPECT_TRUE(ParseNumber("42", &value));
+  EXPECT_EQ(value, 42);
+  EXPECT_TRUE(ParseNumber("-7", &value));
+  EXPECT_EQ(value, -7);
+  for (const char* bad : {"", "abc", "4x", "1.5", " 1", "1 ", "+1", "--1"}) {
+    EXPECT_FALSE(ParseNumber(bad, &value)) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseNumberTest, SignOnlyForSignedTypes) {
+  std::uint64_t unsigned_value = 0;
+  EXPECT_FALSE(ParseNumber("-1", &unsigned_value));
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &unsigned_value));
+  EXPECT_EQ(unsigned_value, UINT64_MAX);
+}
+
+TEST(ParseNumberTest, ReportsOverflowSeparatelyFromMalformedText) {
+  int narrow = 0;
+  bool out_of_range = false;
+  EXPECT_FALSE(ParseNumber("2147483648", &narrow, &out_of_range));
+  EXPECT_TRUE(out_of_range);
+  EXPECT_TRUE(ParseNumber("2147483647", &narrow, &out_of_range));
+  EXPECT_FALSE(out_of_range);
+  EXPECT_FALSE(ParseNumber("12ab", &narrow, &out_of_range));
+  EXPECT_FALSE(out_of_range);
+  std::int64_t wide = 0;
+  EXPECT_TRUE(ParseNumber("5000000000", &wide));
+  EXPECT_EQ(wide, 5000000000LL);
+  EXPECT_FALSE(ParseNumber("99999999999999999999", &wide, &out_of_range));
+  EXPECT_TRUE(out_of_range);
+}
+
+TEST(ParseNumberTest, DoublesPassInfAndNanThrough) {
+  double value = 0.0;
+  EXPECT_TRUE(ParseNumber("0.25", &value));
+  EXPECT_EQ(value, 0.25);
+  EXPECT_TRUE(ParseNumber("1e-3", &value));
+  EXPECT_EQ(value, 1e-3);
+  // Finiteness is the caller's check (io/ names the non-finite field).
+  EXPECT_TRUE(ParseNumber("inf", &value));
+  EXPECT_TRUE(std::isinf(value));
+  EXPECT_TRUE(ParseNumber("nan", &value));
+  EXPECT_TRUE(std::isnan(value));
+  EXPECT_FALSE(ParseNumber("", &value));
+  EXPECT_FALSE(ParseNumber("0.5x", &value));
+  bool out_of_range = false;
+  EXPECT_FALSE(ParseNumber("1e999", &value, &out_of_range));
+  EXPECT_TRUE(out_of_range);
+}
+
+// --- Flags ------------------------------------------------------------------
+
+const std::vector<FlagSpec> kTestFlags = {
+    {"dir", FlagSpec::kText},        {"jobs", FlagSpec::kPositiveInt},
+    {"tags", FlagSpec::kNonNegativeInt},     {"tag", FlagSpec::kInt64},
+    {"audit", FlagSpec::kSwitch},    {"stats", FlagSpec::kOptional},
+    {"time", FlagSpec::kInt}};
+
+Result<Flags> ParseTestFlags(std::vector<const char*> args) {
+  return Flags::Parse(kTestFlags, static_cast<int>(args.size()), args.data());
+}
+
+std::string ParseError(std::vector<const char*> args) {
+  Result<Flags> flags = ParseTestFlags(std::move(args));
+  return flags.ok() ? "ok" : flags.status().message();
+}
+
+TEST(FlagsTest, SpaceAndEqualsFormsTakeAValue) {
+  Result<Flags> flags =
+      ParseTestFlags({"--dir", "d1", "--jobs=4", "--tag", "5000000000"});
+  ASSERT_TRUE(flags.ok()) << flags.status();
+  EXPECT_EQ(flags->Get("dir"), "d1");
+  EXPECT_EQ(flags->GetInt("jobs", 1), 4);
+  EXPECT_EQ(flags->GetInt64("tag", 0), 5000000000LL);
+  EXPECT_EQ(flags->GetInt("time", -3), -3);  // absent: the fallback
+  EXPECT_EQ(flags->Get("absent", "x"), "x");
+  EXPECT_FALSE(flags->help());
+}
+
+TEST(FlagsTest, SwitchesAreBare) {
+  Result<Flags> flags = ParseTestFlags({"--audit", "--dir", "d"});
+  ASSERT_TRUE(flags.ok()) << flags.status();
+  EXPECT_TRUE(flags->Has("audit"));
+  EXPECT_FALSE(flags->Has("stats"));
+  EXPECT_EQ(ParseError({"--audit=1"}), "--audit takes no value");
+  // A switch never swallows the next token, so this one is stray.
+  EXPECT_EQ(ParseError({"--audit", "0"}), "unexpected argument '0'");
+}
+
+TEST(FlagsTest, OptionalValueIsBareOrGiven) {
+  Result<Flags> bare = ParseTestFlags({"--stats", "--dir", "d"});
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  EXPECT_TRUE(bare->Has("stats"));
+  EXPECT_EQ(bare->Get("stats", "stdout"), "stdout");
+  Result<Flags> last = ParseTestFlags({"--dir", "d", "--stats"});
+  ASSERT_TRUE(last.ok()) << last.status();
+  EXPECT_EQ(last->Get("stats", "stdout"), "stdout");
+  Result<Flags> equals = ParseTestFlags({"--stats=s.json"});
+  ASSERT_TRUE(equals.ok()) << equals.status();
+  EXPECT_EQ(equals->Get("stats", "stdout"), "s.json");
+  Result<Flags> spaced = ParseTestFlags({"--stats", "s.json"});
+  ASSERT_TRUE(spaced.ok()) << spaced.status();
+  EXPECT_EQ(spaced->Get("stats", "stdout"), "s.json");
+}
+
+TEST(FlagsTest, UsageErrorsNameTheFlag) {
+  EXPECT_EQ(ParseError({"--job", "4"}), "unknown flag --job");
+  EXPECT_EQ(ParseError({"--dir"}), "missing value for --dir");
+  EXPECT_EQ(ParseError({"--dir", "--audit"}), "missing value for --dir");
+  EXPECT_EQ(ParseError({"--dir", "d", "stray"}),
+            "unexpected argument 'stray'");
+  EXPECT_EQ(ParseError({"-x"}), "unexpected argument '-x'");
+}
+
+TEST(FlagsTest, NumbersAreStrictAndRangeChecked) {
+  EXPECT_EQ(ParseError({"--time", "abc"}), "--time must be an integer");
+  EXPECT_EQ(ParseError({"--time", "12x"}), "--time must be an integer");
+  EXPECT_EQ(ParseError({"--time", "2147483648"}),
+            "--time must be an integer");
+  EXPECT_EQ(ParseError({"--jobs", "0"}), "--jobs must be a positive integer");
+  EXPECT_EQ(ParseError({"--jobs=abc"}), "--jobs must be a positive integer");
+  EXPECT_EQ(ParseError({"--tags", "-3"}),
+            "--tags must be a non-negative integer");
+  EXPECT_EQ(ParseError({"--tag", "99999999999999999999"}),
+            "--tag must be an integer");
+  // Negative values are values, not flags.
+  Result<Flags> negative = ParseTestFlags({"--time", "-5"});
+  ASSERT_TRUE(negative.ok()) << negative.status();
+  EXPECT_EQ(negative->GetInt("time", 0), -5);
+}
+
+TEST(FlagsTest, HelpAndRepeatedFlags) {
+  Result<Flags> flags = ParseTestFlags({"--jobs", "2", "-h", "--jobs", "3"});
+  ASSERT_TRUE(flags.ok()) << flags.status();
+  EXPECT_TRUE(flags->help());
+  EXPECT_EQ(flags->GetInt("jobs", 1), 3);  // the last one wins
+  Result<Flags> long_help = ParseTestFlags({"--help"});
+  ASSERT_TRUE(long_help.ok());
+  EXPECT_TRUE(long_help->help());
 }
 
 // --- Table ------------------------------------------------------------------

@@ -485,6 +485,51 @@ TEST(ObsCrossLayerTest, StatsTraceAndExplainCountTheSameRun) {
   }
 }
 
+// Explain and stats count the preflight's prunes independently: explain
+// records one kPreflight kill per pruned candidate while it attributes the
+// surviving tags, and the stats counter adds each plan's pruned count. On
+// a batch where every tag cleans (so no doomed tag's single summary kill
+// enters the sum) the two must agree at any worker count. The paper
+// example prunes L2 at t=0 and one t=1 variant, so the check is not
+// vacuous.
+TEST(ObsCrossLayerTest, ExplainPreflightKillsEqualStatsPrunedNodes) {
+  const ConstraintSet constraints = PaperExampleConstraints();
+  std::vector<TagWorkload> workloads;
+  for (TagId tag = 1; tag <= 5; ++tag) {
+    workloads.push_back(TagWorkload{tag, PaperExampleSequence()});
+  }
+
+  for (int jobs : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "jobs=" << jobs);
+    obs::CleaningStats::Reset();
+    obs::ExplainOptions explain_options;
+    explain_options.enabled = true;
+    obs::StartExplain(explain_options);
+    BatchOptions options;
+    options.jobs = jobs;
+    const std::vector<TagOutcome> outcomes =
+        BatchCleaner(constraints, options).CleanAll(workloads);
+    const obs::CleaningStats stats = obs::CleaningStats::Capture();
+    const obs::ExplainCollection explain = obs::CollectExplain();
+    obs::StopExplain();
+
+    for (const TagOutcome& outcome : outcomes) {
+      ASSERT_TRUE(outcome.graph.ok()) << outcome.graph.status();
+    }
+    std::uint64_t preflight_kills = 0;
+    for (const obs::ExplainTagSummary& summary : explain.tags) {
+      preflight_kills += summary.phase_kills[static_cast<int>(
+          obs::ExplainPhase::kPreflight)];
+    }
+    const std::uint64_t pruned =
+        stats.Get(obs::Counter::kPreflightNodesPruned);
+    EXPECT_EQ(explain.tags.size(), workloads.size());
+    EXPECT_GT(pruned, 0u);
+    EXPECT_EQ(preflight_kills, pruned);
+    EXPECT_EQ(stats.Get(obs::Counter::kPreflightTagsDoomed), 0u);
+  }
+}
+
 // Digest helpers back the trace provenance records; they must be stable
 // across runs, sensitive to content and (for constraint sets) independent
 // of insertion order.

@@ -46,6 +46,12 @@ examples/, and fuzz/ for rule 5):
     out-of-tree code (perfbench/). Code that names them again is the first
     step of forking the representation a second time.
 
+ 6. One number parser: nothing under src/, tools/ or bench/ may call
+    std::ato*() / std::strto*() or name from_chars outside
+    src/common/strings.{h,cc}, which define ParseNumber. atoi reads "abc"
+    as 0 without a diagnostic, and each private from_chars wrapper is one
+    more copy of the whole-token and range rules that can drift.
+
 Exit status 0 when clean, 1 with one "file:line: message" per finding
 otherwise. Run from anywhere: paths are resolved against the repo root
 (the parent of this script's directory), or pass --root.
@@ -56,38 +62,57 @@ import re
 import sys
 from pathlib import Path
 
-# Directories scanned for headers (guard check) and sources (assert check).
+# Directories scanned for headers (guard check) and sources.
 SCANNED_DIRS = ("src", "tools", "tests", "bench", "examples")
-# assert() is banned only in library/tool code; tests and benches may use
-# the standard macro if they want to.
-ASSERT_BANNED_DIRS = ("src", "tools")
 
-# Rule 4: (pattern, what, files allowed to contain it). The session owns
-# every stage; each stage's own declaration/definition files are exempt.
+# Rules 1 and 4-6, one ban per entry: (directories, pattern, what it names
+# (None: the match), files allowed to contain it, exempt lines, advice).
 PIPELINE_OWNER = ("src/core/clean_session.h", "src/core/clean_session.cc")
-PIPELINE_STAGES = (
-    (re.compile(r"\bConditionAndCompact\s*\("), "ConditionAndCompact()",
-     ("src/core/work_graph.h", "src/core/work_graph.cc")),
-    (re.compile(r"\bRunCtGraphAuditHook\s*\("), "RunCtGraphAuditHook()",
-     ("src/core/self_audit.h", "src/core/self_audit.cc",
-      "src/store/graph_codec.cc")),
-    (re.compile(r"(?:\.|->)\s*Analyze\s*\("), "FeasibilityOracle::Analyze()",
-     ("src/analysis/feasibility.h", "src/analysis/feasibility.cc")),
+PIPELINE_ADVICE = ("outside the cleaning pipeline; drive CtGraphBuilder, "
+                   "StreamingCleaner or internal_core::CleanSession instead "
+                   "of forking it")
+
+
+def pipeline_stage(pattern, what, definitions):
+    """Rule 4: only the session and the stage's own files may call it."""
+    return (("src", "tools"), re.compile(pattern), what,
+            definitions + PIPELINE_OWNER, None, PIPELINE_ADVICE)
+
+
+BANS = (
+    # Rule 1: tests and benches may use the standard macro.
+    (("src", "tools"), re.compile(r"(?<![\w_])assert\s*\("), "assert()", (),
+     None, "is banned in library code; use RFID_CHECK (common/check.h), "
+     "which stays armed in release builds"),
+    pipeline_stage(r"\bConditionAndCompact\s*\(", "ConditionAndCompact()",
+                   ("src/core/work_graph.h", "src/core/work_graph.cc")),
+    pipeline_stage(r"\bRunCtGraphAuditHook\s*\(", "RunCtGraphAuditHook()",
+                   ("src/core/self_audit.h", "src/core/self_audit.cc",
+                    "src/store/graph_codec.cc")),
+    pipeline_stage(r"(?:\.|->)\s*Analyze\s*\(", "FeasibilityOracle::Analyze()",
+                   ("src/analysis/feasibility.h",
+                    "src/analysis/feasibility.cc")),
     # A ForwardEngine variable, member, temporary or owning wrapper;
     # references and pointers to one are fine.
-    (re.compile(r"\bForwardEngine\b(?!\s*::)\s*(?:\w+\s*)?[({;=]|"
-                r"<\s*(?:\w+::)*ForwardEngine\s*>"),
-     "a ForwardEngine", ("src/core/forward.h", "src/core/forward.cc")),
+    pipeline_stage(r"\bForwardEngine\b(?!\s*::)\s*(?:\w+\s*)?[({;=]|"
+                   r"<\s*(?:\w+::)*ForwardEngine\s*>", "a ForwardEngine",
+                   ("src/core/forward.h", "src/core/forward.cc")),
+    # Rule 5: only the alias declarations may still carry the old names.
+    (("src", "tools", "tests", "bench", "fuzz"),
+     re.compile(r"\b(?:CtGraphView|StayQueryEvaluatorT)\b"), None, (),
+     re.compile(r"\busing\s+(?:CtGraphView|StayQueryEvaluatorT)\s*="),
+     "names the merged second ct-graph type; use CtGraph / "
+     "StayQueryEvaluator (the alias exists only for out-of-tree code)"),
+    # Rule 6: strings.{h,cc} define ParseNumber.
+    (("src", "tools", "bench"),
+     re.compile(r"(?<![\w.>])(?:std::|::)?(?:ato(?:i|l|ll|f)|strto\w+)\s*\(|"
+                r"\bfrom_chars\b"), None,
+     ("src/common/strings.h", "src/common/strings.cc"), None,
+     "parses a number outside ParseNumber (common/strings.h); use it or a "
+     "FlagSpec (common/flags.h)"),
 )
+BANNED_DIRS = tuple(sorted({d for ban in BANS for d in ban[0]}))
 
-# Rule 5: the directories it covers, the names it bans, and the alias
-# declarations that may still carry them.
-ONE_GRAPH_DIRS = ("src", "tools", "tests", "bench", "fuzz")
-FORKED_GRAPH_RE = re.compile(r"\b(CtGraphView|StayQueryEvaluatorT)\b")
-GRAPH_ALIAS_RE = re.compile(
-    r"\busing\s+(?:CtGraphView|StayQueryEvaluatorT)\s*=")
-
-ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 CONDITIONAL_RE = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b(.*)$")
 CONFIG_MACRO_RE = re.compile(r"\bRFIDCLEAN_\w+")
 LINE_COMMENT_RE = re.compile(r"//.*$")
@@ -106,20 +131,6 @@ def strip_noncode(line: str) -> str:
     sufficient: the codebase has no multi-line raw strings with asserts)."""
     line = LINE_COMMENT_RE.sub("", line)
     return re.sub(r'"(?:[^"\\]|\\.)*"', '""', line)
-
-
-def check_asserts(path: Path, relpath: Path, lines) -> list:
-    findings = []
-    for lineno, line in enumerate(lines, start=1):
-        code = strip_noncode(line)
-        if "static_assert" in code:
-            code = code.replace("static_assert", "")
-        if ASSERT_RE.search(code):
-            findings.append(
-                f"{relpath}:{lineno}: assert() is banned in library code; "
-                "use RFID_CHECK (common/check.h), which stays armed in "
-                "release builds")
-    return findings
 
 
 def check_include_guard(path: Path, relpath: Path, lines) -> list:
@@ -176,34 +187,19 @@ def check_config_branches(path: Path, relpath: Path, lines) -> list:
     return findings
 
 
-def check_pipeline_stages(path: Path, relpath: Path, lines) -> list:
+def check_bans(path: Path, relpath: Path, lines) -> list:
     rel = relpath.as_posix()
-    if rel in PIPELINE_OWNER:
-        return []
     findings = []
     for lineno, line in enumerate(lines, start=1):
         code = strip_noncode(line)
-        for pattern, what, exempt in PIPELINE_STAGES:
-            if rel not in exempt and pattern.search(code):
-                findings.append(
-                    f"{relpath}:{lineno}: {what} outside the cleaning "
-                    "pipeline; drive CtGraphBuilder, StreamingCleaner or "
-                    "internal_core::CleanSession instead of forking it")
-    return findings
-
-
-def check_one_graph_type(path: Path, relpath: Path, lines) -> list:
-    findings = []
-    for lineno, line in enumerate(lines, start=1):
-        code = strip_noncode(line)
-        if GRAPH_ALIAS_RE.search(code):
-            continue
-        match = FORKED_GRAPH_RE.search(code)
-        if match:
-            findings.append(
-                f"{relpath}:{lineno}: {match.group(1)} names the merged "
-                "second ct-graph type; use CtGraph / StayQueryEvaluator (the "
-                "alias exists only for out-of-tree code)")
+        for dirs, pattern, what, allowed, exempt, advice in BANS:
+            if (relpath.parts[0] not in dirs or rel in allowed or
+                    (exempt is not None and exempt.search(code))):
+                continue
+            match = pattern.search(code)
+            if match:
+                name = what or match.group(0).rstrip("( ")
+                findings.append(f"{relpath}:{lineno}: {name} {advice}")
     return findings
 
 
@@ -218,7 +214,7 @@ def main() -> int:
     findings = []
     scanned = 0
     all_dirs = SCANNED_DIRS + tuple(
-        d for d in ONE_GRAPH_DIRS if d not in SCANNED_DIRS)
+        d for d in BANNED_DIRS if d not in SCANNED_DIRS)
     for top in all_dirs:
         top_dir = args.root / top
         if not top_dir.is_dir():
@@ -229,11 +225,7 @@ def main() -> int:
             relpath = path.relative_to(args.root)
             lines = path.read_text(encoding="utf-8").splitlines()
             scanned += 1
-            if top in ASSERT_BANNED_DIRS:
-                findings += check_asserts(path, relpath, lines)
-                findings += check_pipeline_stages(path, relpath, lines)
-            if top in ONE_GRAPH_DIRS:
-                findings += check_one_graph_type(path, relpath, lines)
+            findings += check_bans(path, relpath, lines)
             if top in SCANNED_DIRS and path.suffix in (".h", ".hpp"):
                 findings += check_include_guard(path, relpath, lines)
                 if top == "src":

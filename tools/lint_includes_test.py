@@ -175,6 +175,36 @@ class LintIncludesTest(unittest.TestCase):
                    "e;\n")
         self.assertEqual(self.run_lint(), (0, []))
 
+    def test_number_parsing_outside_parse_number_is_flagged(self):
+        self.write("tools/cli.cc",
+                   "int jobs = std::atoi(argv[2]);\n"
+                   "long long seed = atoll(text);\n")
+        self.write("src/io/reader.cc",
+                   "auto [ptr, ec] = std::from_chars(b, e, value);\n"
+                   "double x = std::strtod(s, nullptr);\n")
+        self.write_header("bench/util.h",
+                          "auto kib = std::strtoull(line + 6, nullptr, 10);\n")
+        code, findings = self.run_lint()
+        self.assertEqual(code, 1)
+        self.assertEqual([f.split(": ")[0] for f in findings],
+                         ["src/io/reader.cc:1", "src/io/reader.cc:2",
+                          "tools/cli.cc:1", "tools/cli.cc:2",
+                          "bench/util.h:4"])
+
+    def test_parse_number_owner_comments_and_other_dirs_pass(self):
+        self.write_header("src/common/strings.h",
+                          "#include <charconv>\n"
+                          "auto r = std::from_chars(b, e, *out);\n")
+        self.write("src/common/strings.cc",
+                   "// std::from_chars accepts inf/nan.\n")
+        self.write("src/io/reader.cc",
+                   "// ParseNumber, not std::atoi(text), so 'abc' fails.\n"
+                   "const char* kDoc = \"from_chars\";\n"
+                   "ok = ParseNumber(text, &value) && Restore(x);\n")
+        self.write("tests/io_test.cc", "int n = std::atoi(\"4\");\n")
+        self.write("perfbench/main.cc", "seed = std::strtoull(v, 0, 10);\n")
+        self.assertEqual(self.run_lint(), (0, []))
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -1,65 +1,19 @@
 // rfidclean_cli — command-line front end for the library's file formats.
-//
-//   rfidclean_cli generate --floors 4 --duration 600 --seed 1 --out DIR
-//                          [--tags N]
-//       Simulates a monitored object: writes DIR/building.map,
-//       DIR/readings.csv and DIR/truth.txt (ground-truth locations).
-//       With --tags N it simulates N independent objects instead,
-//       writing the multi-tag readings format and truth_<tag>.txt files.
-//
-//   rfidclean_cli clean --dir DIR [--families DU|DU+LT|DU+LT+TT]
-//                       [--seed 1] [--dot graph.dot] [--jobs N]
-//                       [--forward-threads N]
-//                       [--store FILE]
-//       Cleans DIR/readings.csv against DIR/building.map and writes
-//       DIR/graph.ctg (plus an optional GraphViz rendering). A multi-tag
-//       readings file (header "tag,time,readers") is cleaned as a batch
-//       on N worker threads (runtime/batch_cleaner.h), one
-//       DIR/graph_<tag>.ctg per tag; --dot is rejected for it. With --store FILE the cleaned graphs
-//       go into one binary ct-store container instead of per-tag text
-//       files (with per-blob input/constraint provenance digests).
-//
-//   rfidclean_cli check-constraints --dir DIR [--families ...] [--seed 1]
-//                                   [--json FILE]
-//       Static audit of the inferred constraint set: contradictions
-//       (errors), suspicious-but-satisfiable findings (warnings) and
-//       implied constraints (infos), printed as a report and optionally
-//       written as JSON. Exits nonzero only on errors.
-//
-//   rfidclean_cli stay --dir DIR --time T [--store FILE --tag T]
-//       Conditioned location distribution at time T from DIR/graph.ctg,
-//       or zero-copy from a mapped ct-store blob with --store/--tag.
-//
-//   rfidclean_cli store <ls|get|put|compact|verify> --store FILE ...
-//       Operations on a binary ct-store container (docs/FORMATS.md):
-//         ls                          list live blobs and space usage
-//         get --tag T --out F [--raw] extract one graph (text .ctg, or the
-//                                     raw blob bytes with --raw)
-//         put --tag T --in F          encode a text .ctg into the store
-//         compact                     rewrite dropping superseded bytes
-//         verify                      full checksum+invariant+digest check
-//                                     of every live blob
-//
-//   rfidclean_cli pattern --dir DIR --pattern "? F0.RoomA[5] ?"
-//       Probability that the trajectory matches the pattern.
-//
-//   rfidclean_cli sample --dir DIR --count N --seed 7
-//       Draws N valid trajectories, printed as itineraries.
+// Every subcommand is one row of the command table at the bottom of this
+// file; `rfidclean_cli` without arguments prints their usage lines.
 //
 // The reader deployment and calibration are re-derived deterministically
 // from the building and the seed (PlaceStandardReaders + DetectionModel +
 // Calibrator), matching what `generate` used; a production deployment would
 // load its own calibrated coverage instead.
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/constraint_audit.h"
 #include "analysis/feasibility.h"
@@ -69,6 +23,7 @@
 #include "obs/explain_export.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -100,63 +55,6 @@
 
 namespace rfidclean::cli {
 namespace {
-
-/// Trivial "--key value" / "--key=value" argument map; a "--key" directly
-/// followed by another "--option" (or nothing) is a bare boolean flag,
-/// e.g. "--audit" or "--stats".
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) != 0) continue;
-      char* equals = std::strchr(argv[i] + 2, '=');
-      if (equals != nullptr) {
-        values_.insert_or_assign(std::string(argv[i] + 2, equals),
-                                 std::string(equals + 1));
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_.insert_or_assign(argv[i] + 2, argv[i + 1]);
-        ++i;
-      } else {
-        // The explicit std::string sidesteps a GCC 12 -Wrestrict false
-        // positive (PR105329) on assignment from a short string literal.
-        values_.insert_or_assign(argv[i] + 2, std::string("1"));
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  /// Strictly parsed integer: `fallback` when the key is absent, nullopt
-  /// when present but not a plain base-10 integer (where atoi would
-  /// silently yield 0 — "--jobs abc" must be an error, not 1 job).
-  std::optional<int> GetStrictInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    const std::string& text = it->second;
-    int value = 0;
-    auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc() || ptr != text.data() + text.size()) {
-      return std::nullopt;
-    }
-    return value;
-  }
-  bool GetBool(const std::string& key, bool fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return it->second != "0" && it->second != "false";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -190,12 +88,11 @@ int WriteReportFile(const std::string& path, const char* what,
 /// never mistakes the probe's empty file for an interrupted write.
 class ReportFlag {
  public:
-  ReportFlag(const Args& args, const char* flag, std::string bare_path)
+  ReportFlag(const Flags& flags, const char* flag, std::string bare_path)
       : flag_(flag) {
-    if (!args.Has(flag)) return;
+    if (!flags.Has(flag)) return;
     const bool has_stdout_mode = bare_path.empty();
-    const std::string value = args.Get(flag, "");
-    path_ = value == "1" ? std::move(bare_path) : value;
+    path_ = flags.Get(flag, std::move(bare_path));
     to_stdout_ = has_stdout_mode && path_->empty();
   }
 
@@ -299,20 +196,24 @@ Result<Building> LoadBuilding(const std::string& dir) {
   return ReadBuilding(is);
 }
 
-Result<CtGraph> LoadGraph(const std::string& dir) {
+/// The one graph source of the query commands (stay, pattern, sample,
+/// report): DIR/graph.ctg, or with --store FILE the --tag T blob of that
+/// ct-store, mapped in place and structurally verified.
+Result<CtGraph> LoadQueryGraph(const Flags& flags) {
+  const std::string store_path = flags.Get("store");
+  if (!store_path.empty()) {
+    Result<store::CtStoreReader> reader =
+        store::CtStoreReader::Open(store_path);
+    if (!reader.ok()) return reader.status();
+    return reader.value().LoadView(flags.GetInt64("tag", 0));
+  }
+  const std::string dir = flags.Get("dir", ".");
   std::ifstream is(dir + "/graph.ctg");
   if (!is) {
     return NotFoundError("cannot open " + dir +
                          "/graph.ctg (run 'clean' first)");
   }
   return ReadCtGraph(is);
-}
-
-/// One tag's graph from the ct-store at `path`, mapped in place.
-Result<CtGraph> LoadStoredGraph(const std::string& path, std::int64_t tag) {
-  Result<store::CtStoreReader> reader = store::CtStoreReader::Open(path);
-  if (!reader.ok()) return reader.status();
-  return reader.value().LoadView(tag);
 }
 
 /// The deterministic deployment + calibration shared by generate and clean.
@@ -334,20 +235,15 @@ Deployment MakeDeployment(const Building& building, std::uint64_t seed) {
                     std::move(calibrated)};
 }
 
-int Generate(const Args& args) {
-  const int floors = args.GetInt("floors", 4);
-  const Timestamp duration =
-      static_cast<Timestamp>(args.GetInt("duration", 600));
+/// Simulates objects in an office building: DIR/building.map, readings.csv
+/// and truth.txt, or with --tags N multi-tag readings and truth_<tag>.txt.
+int Generate(const Flags& flags) {
+  const int floors = flags.GetInt("floors", 4);
+  const Timestamp duration = flags.GetInt("duration", 600);
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::string dir = args.Get("out", ".");
-  // 0 = single-tag format. Negative or non-numeric counts are rejected:
-  // atoi's silent 0 would quietly produce the wrong file format.
-  const std::optional<int> tags_arg = args.GetStrictInt("tags", 0);
-  if (!tags_arg.has_value() || *tags_arg < 0) {
-    return Fail("--tags must be a non-negative integer");
-  }
-  const int num_tags = *tags_arg;
+      static_cast<std::uint64_t>(flags.GetInt64("seed", 1));
+  const std::string dir = flags.Get("out", ".");
+  const int num_tags = flags.GetInt("tags", 0);  // 0 = single-tag format
 
   Building building = MakeOfficeBuilding(floors);
   Deployment deployment = MakeDeployment(building, seed);
@@ -414,12 +310,12 @@ int Generate(const Args& args) {
   return 0;
 }
 
-Result<ConstraintSet> MakeCliConstraints(const Args& args,
+Result<ConstraintSet> MakeCliConstraints(const Flags& flags,
                                          const Building& building,
                                          const Deployment& deployment,
                                          ConstraintFamilies* families_out) {
   ConstraintFamilies families = ConstraintFamilies::DuLtTt();
-  std::string requested = args.Get("families", "DU+LT+TT");
+  std::string requested = flags.Get("families", "DU+LT+TT");
   if (requested == "DU") {
     families = ConstraintFamilies::Du();
   } else if (requested == "DU+LT") {
@@ -447,10 +343,9 @@ struct CleanInputs {
   std::vector<TagWorkload> workloads;
 };
 
-/// Parses the cleaning flags (--seed, --jobs, --forward-threads,
-/// --families, --no-preflight) and loads the inputs they select from DIR.
+/// Reads the cleaning flags and loads the inputs they select from DIR.
 /// Returns nullopt after a diagnostic.
-std::optional<CleanInputs> LoadCleanInputs(const Args& args,
+std::optional<CleanInputs> LoadCleanInputs(const Flags& flags,
                                            const std::string& dir,
                                            const Building& building) {
   const auto fail = [](const auto& what) {
@@ -458,29 +353,20 @@ std::optional<CleanInputs> LoadCleanInputs(const Args& args,
     return std::optional<CleanInputs>();
   };
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::optional<int> jobs = args.GetStrictInt("jobs", 1);
-  if (!jobs.has_value() || *jobs < 1) {
-    return fail("--jobs must be a positive integer");
-  }
-  // Intra-tag lanes (CleanOptions::forward_threads); output is
-  // byte-identical for every value, so this is purely a wall-clock knob.
-  const std::optional<int> forward_threads =
-      args.GetStrictInt("forward-threads", 1);
-  if (!forward_threads.has_value() || *forward_threads < 1) {
-    return fail("--forward-threads must be a positive integer");
-  }
+      static_cast<std::uint64_t>(flags.GetInt64("seed", 1));
   BatchOptions batch;
-  batch.jobs = *jobs;
+  batch.jobs = flags.GetInt("jobs", 1);
   // --no-preflight disables the static feasibility pass (identical output,
   // useful for A/B timing and for isolating preflight bugs).
-  batch.clean.preflight = !args.GetBool("no-preflight", false);
-  batch.clean.forward_threads = *forward_threads;
+  batch.clean.preflight = !flags.Has("no-preflight");
+  // Intra-tag lanes (CleanOptions::forward_threads); output is
+  // byte-identical for every value, so this is purely a wall-clock knob.
+  batch.clean.forward_threads = flags.GetInt("forward-threads", 1);
 
   Deployment deployment = MakeDeployment(building, seed);
   ConstraintFamilies families = ConstraintFamilies::DuLtTt();
   Result<ConstraintSet> constraints =
-      MakeCliConstraints(args, building, deployment, &families);
+      MakeCliConstraints(flags, building, deployment, &families);
   if (!constraints.ok()) return fail(constraints.status());
 
   // The a-priori interpretation stays sequential: AprioriModel memoizes per
@@ -541,13 +427,13 @@ std::vector<TagOutcome> CleanWorkloads(const CleanInputs& inputs) {
 /// the summary line and the --stats/--explain reports are written. Failed
 /// tags are reported on stderr; the reports are written either way, since
 /// they carry the failures too. Returns 1 when any tag failed.
-int EmitClean(const Args& args, const std::string& dir,
+int EmitClean(const Flags& flags, const std::string& dir,
               const Building& building, const CleanInputs& inputs,
               const std::vector<TagOutcome>& outcomes, double millis,
               ReportFlag* stats_report, ReportFlag* explain_report) {
-  const bool audit = args.GetBool("audit", false);
-  const std::string dot = args.Get("dot", "");
-  const std::string store_path = args.Get("store", "");
+  const bool audit = flags.Has("audit");
+  const std::string dot = flags.Get("dot");
+  const std::string store_path = flags.Get("store");
   std::optional<store::CtStoreWriter> writer;
   if (!store_path.empty()) {
     Result<store::CtStoreWriter> opened =
@@ -645,23 +531,20 @@ int EmitClean(const Args& args, const std::string& dir,
   return failures == 0 ? 0 : 1;
 }
 
-int Clean(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
-  ReportFlag stats_report(args, "stats", "");
-  ReportFlag trace_report(args, "trace", dir + "/trace.json");
-  ReportFlag explain_report(args, "explain", dir + "/explain.json");
+/// Cleans DIR/readings.csv into DIR/graph.ctg, a multi-tag feed on --jobs
+/// workers into DIR/graph_<tag>.ctg, or either into the --store container.
+int Clean(const Flags& flags) {
+  const std::string dir = flags.Get("dir", ".");
+  ReportFlag stats_report(flags, "stats", "");
+  ReportFlag trace_report(flags, "trace", dir + "/trace.json");
+  ReportFlag explain_report(flags, "explain", dir + "/explain.json");
   if (stats_report.Probe() != 0) return 1;
   if (trace_report.requested()) {
-    const std::optional<int> buffer_events =
-        args.GetStrictInt("trace-buffer-events",
-                          static_cast<int>(obs::TraceOptions().buffer_events));
-    if (!buffer_events.has_value() || *buffer_events < 1) {
-      return Fail("--trace-buffer-events must be a positive integer");
-    }
     if (trace_report.Probe() != 0) return 1;
     obs::TraceOptions trace;
     trace.enabled = true;
-    trace.buffer_events = static_cast<std::size_t>(*buffer_events);
+    trace.buffer_events = static_cast<std::size_t>(flags.GetInt(
+        "trace-buffer-events", static_cast<int>(trace.buffer_events)));
     // Started here rather than in BatchCleaner so the io parsing spans land
     // on the same timeline as the cleaning itself.
     obs::StartTracing(trace);
@@ -669,13 +552,9 @@ int Clean(const Args& args) {
   if (explain_report.requested()) {
     obs::ExplainOptions explain;
     explain.enabled = true;
-    const std::optional<int> top_edges = args.GetStrictInt(
-        "explain-top-edges", static_cast<int>(explain.top_edges));
-    if (!top_edges.has_value() || *top_edges < 1) {
-      return Fail("--explain-top-edges must be a positive integer");
-    }
     if (explain_report.Probe() != 0) return 1;
-    explain.top_edges = static_cast<std::size_t>(*top_edges);
+    explain.top_edges = static_cast<std::size_t>(flags.GetInt(
+        "explain-top-edges", static_cast<int>(explain.top_edges)));
     obs::StartExplain(explain);
   }
 
@@ -683,20 +562,20 @@ int Clean(const Args& args) {
     Result<Building> building = LoadBuilding(dir);
     if (!building.ok()) return Fail(building.status());
     std::optional<CleanInputs> inputs =
-        LoadCleanInputs(args, dir, building.value());
+        LoadCleanInputs(flags, dir, building.value());
     if (!inputs.has_value()) return 1;
-    if (inputs->multi_tag && !args.Get("dot", "").empty()) {
+    if (inputs->multi_tag && !flags.Get("dot").empty()) {
       return Fail("--dot renders one graph, but DIR/readings.csv has "
                   "multiple tags");
     }
-    if (args.GetBool("audit", false)) {
+    if (flags.Has("audit")) {
       // Fails the clean itself on any invariant violation (the cleaners'
       // self-audit hook); EmitClean prints the full report.
       EnableSelfAudit();
     }
     const Stopwatch watch;
     const std::vector<TagOutcome> outcomes = CleanWorkloads(*inputs);
-    return EmitClean(args, dir, building.value(), *inputs, outcomes,
+    return EmitClean(flags, dir, building.value(), *inputs, outcomes,
                      watch.ElapsedMillis(), &stats_report, &explain_report);
   }();
 
@@ -720,17 +599,17 @@ int Clean(const Args& args) {
 /// own closure plus the calibrated reader coverage, and prints the report.
 /// Inferred sets legitimately contain implied constraints, so infos (and
 /// warnings) do not fail the command — only contradictions do.
-int CheckConstraints(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
+int CheckConstraints(const Flags& flags) {
+  const std::string dir = flags.Get("dir", ".");
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
+      static_cast<std::uint64_t>(flags.GetInt64("seed", 1));
   Result<Building> building = LoadBuilding(dir);
   if (!building.ok()) return Fail(building.status());
 
   Deployment deployment = MakeDeployment(building.value(), seed);
   ConstraintFamilies families = ConstraintFamilies::DuLtTt();
   Result<ConstraintSet> constraints =
-      MakeCliConstraints(args, building.value(), deployment, &families);
+      MakeCliConstraints(flags, building.value(), deployment, &families);
   if (!constraints.ok()) return Fail(constraints.status());
 
   const std::size_t n = building.value().NumLocations();
@@ -756,7 +635,7 @@ int CheckConstraints(const Args& args) {
               ConstraintFamiliesLabel(families).c_str(), n,
               report.ToString().c_str());
 
-  const std::string json = args.Get("json", "");
+  const std::string json = flags.Get("json");
   if (!json.empty() &&
       WriteReportFile(json, "json",
                       [&](std::ostream& os) { report.WriteJson(os); }) != 0) {
@@ -765,21 +644,11 @@ int CheckConstraints(const Args& args) {
   return report.CountOf(ConstraintSeverity::kError) > 0 ? 1 : 0;
 }
 
-int Stay(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
-  Result<Building> building = LoadBuilding(dir);
+int Stay(const Flags& flags) {
+  Result<Building> building = LoadBuilding(flags.Get("dir", "."));
   if (!building.ok()) return Fail(building.status());
-  const Timestamp time = static_cast<Timestamp>(args.GetInt("time", 0));
-
-  // With --store the graph is evaluated straight off the mapped blob.
-  const std::string store_path = args.Get("store", "");
-  const std::optional<int> tag = args.GetStrictInt("tag", 0);
-  if (!store_path.empty() && !tag.has_value()) {
-    return Fail("--tag must be an integer");
-  }
-  Result<CtGraph> graph = store_path.empty()
-                              ? LoadGraph(dir)
-                              : LoadStoredGraph(store_path, *tag);
+  const Timestamp time = flags.GetInt("time", 0);
+  Result<CtGraph> graph = LoadQueryGraph(flags);
   if (!graph.ok()) return Fail(graph.status());
   if (time < 0 || time >= graph.value().length()) {
     return Fail("--time outside the monitored interval");
@@ -794,131 +663,121 @@ int Stay(const Args& args) {
   return 0;
 }
 
-/// The `store` subcommand family: operations on a ct-store container.
-int StoreCmd(int argc, char** argv) {
-  if (argc < 3) return Fail("usage: rfidclean_cli store <ls|get|put|compact|"
-                            "verify> --store FILE ...");
-  const std::string verb = argv[2];
-  Args args(argc, argv, 3);
-  const std::string path = args.Get("store", "");
-  if (path.empty()) return Fail("missing --store FILE");
-
-  if (verb == "ls") {
-    Result<store::CtStoreReader> reader = store::CtStoreReader::Open(path);
-    if (!reader.ok()) return Fail(reader.status());
-    for (const store::StoreEntry& entry : reader.value().entries()) {
-      Result<std::string> bytes = reader.value().ReadBlobBytes(entry.tag);
-      if (!bytes.ok()) return Fail(bytes.status());
-      Result<store::BlobInfo> blob = store::InspectCtGraphBlob(
-          reinterpret_cast<const unsigned char*>(bytes.value().data()),
-          bytes.value().size());
-      if (!blob.ok()) return Fail(blob.status());
-      std::printf(
-          "tag %-8lld seq %-6llu %10llu bytes  T=%-6d %8llu nodes %9llu "
-          "edges  graph=%016llx input=%016llx constraints=%016llx\n",
-          static_cast<long long>(entry.tag),
-          static_cast<unsigned long long>(entry.sequence),
-          static_cast<unsigned long long>(entry.size),
-          blob.value().header.length,
-          static_cast<unsigned long long>(blob.value().header.num_nodes),
-          static_cast<unsigned long long>(blob.value().header.num_edges),
-          static_cast<unsigned long long>(blob.value().header.graph_digest),
-          static_cast<unsigned long long>(blob.value().header.input_digest),
-          static_cast<unsigned long long>(
-              blob.value().header.constraint_digest));
-    }
-    for (const store::StoreEntry& entry : reader.value().explain_entries()) {
-      std::printf("tag %-8lld seq %-6llu %10llu bytes  explain summary\n",
-                  static_cast<long long>(entry.tag),
-                  static_cast<unsigned long long>(entry.sequence),
-                  static_cast<unsigned long long>(entry.size));
-    }
-    std::printf("store: generation %u, %zu blobs, %zu explain summaries, "
-                "%s (%s dead)\n",
-                reader.value().generation(),
-                reader.value().entries().size(),
-                reader.value().explain_entries().size(),
-                HumanBytes(reader.value().FileBytes()).c_str(),
-                HumanBytes(reader.value().DeadBytes()).c_str());
-    return 0;
-  }
-
-  if (verb == "get") {
-    const std::optional<int> tag = args.GetStrictInt("tag", 0);
-    if (!tag.has_value()) return Fail("--tag must be an integer");
-    const std::string out = args.Get("out", "");
-    if (out.empty()) return Fail("missing --out FILE");
-    Result<store::CtStoreReader> reader = store::CtStoreReader::Open(path);
-    if (!reader.ok()) return Fail(reader.status());
-    if (args.GetBool("raw", false)) {
-      Result<std::string> bytes = reader.value().ReadBlobBytes(*tag);
-      if (!bytes.ok()) return Fail(bytes.status());
-      std::ofstream os(out, std::ios::binary);
-      if (!os) return Fail(("cannot write " + out).c_str());
-      os.write(bytes.value().data(),
-               static_cast<std::streamsize>(bytes.value().size()));
-      if (!os.good()) return Fail(("cannot write " + out).c_str());
-      std::printf("tag %d -> %s (%zu blob bytes)\n", *tag, out.c_str(),
-                  bytes.value().size());
-      return 0;
-    }
-    Result<CtGraph> graph = reader.value().LoadGraph(*tag);
-    if (!graph.ok()) return Fail(graph.status());
-    std::ofstream os(out);
-    if (!os) return Fail(("cannot write " + out).c_str());
-    WriteCtGraph(graph.value(), os);
-    if (!os.good()) return Fail(("cannot write " + out).c_str());
-    std::printf("tag %d -> %s (%zu nodes, %zu edges)\n", *tag, out.c_str(),
-                graph.value().NumNodes(), graph.value().NumEdges());
-    return 0;
-  }
-
-  if (verb == "put") {
-    const std::optional<int> tag = args.GetStrictInt("tag", 0);
-    if (!tag.has_value()) return Fail("--tag must be an integer");
-    const std::string in = args.Get("in", "");
-    if (in.empty()) return Fail("missing --in FILE");
-    std::ifstream is(in);
-    if (!is) return Fail(("cannot open " + in).c_str());
-    Result<CtGraph> graph = ReadCtGraph(is);
-    if (!graph.ok()) return Fail(graph.status());
-    Result<store::CtStoreWriter> writer =
-        store::CtStoreWriter::OpenOrCreate(path);
-    if (!writer.ok()) return Fail(writer.status());
-    const std::string blob =
-        store::EncodeCtGraphBlob(graph.value(), *tag);
-    Status put = writer.value().Put(*tag, blob);
-    if (!put.ok()) return Fail(put);
-    Status finished = writer.value().Finish();
-    if (!finished.ok()) return Fail(finished);
-    std::printf("%s: tag %d <- %s (%zu blob bytes)\n", path.c_str(), *tag,
-                in.c_str(), blob.size());
-    return 0;
-  }
-
-  if (verb == "compact") {
-    Result<store::CompactionStats> stats = store::CompactCtStore(path);
-    if (!stats.ok()) return Fail(stats.status());
-    std::printf("%s: %zu blobs, %s -> %s\n", path.c_str(),
-                stats.value().blobs,
-                HumanBytes(stats.value().bytes_before).c_str(),
-                HumanBytes(stats.value().bytes_after).c_str());
-    return 0;
-  }
-
-  if (verb == "verify") {
-    Result<store::CtStoreReader> reader = store::CtStoreReader::Open(path);
-    if (!reader.ok()) return Fail(reader.status());
-    Status verified = reader.value().VerifyAll();
-    if (!verified.ok()) return Fail(verified);
+int StoreLs(const Flags& flags) {
+  Result<store::CtStoreReader> reader =
+      store::CtStoreReader::Open(flags.Get("store"));
+  if (!reader.ok()) return Fail(reader.status());
+  for (const store::StoreEntry& entry : reader.value().entries()) {
+    Result<std::string> bytes = reader.value().ReadBlobBytes(entry.tag);
+    if (!bytes.ok()) return Fail(bytes.status());
+    Result<store::BlobInfo> blob = store::InspectCtGraphBlob(
+        reinterpret_cast<const unsigned char*>(bytes.value().data()),
+        bytes.value().size());
+    if (!blob.ok()) return Fail(blob.status());
     std::printf(
-        "%s: %zu blobs, %zu explain summaries verified ok (generation %u)\n",
-        path.c_str(), reader.value().entries().size(),
-        reader.value().explain_entries().size(), reader.value().generation());
+        "tag %-8lld seq %-6llu %10llu bytes  T=%-6d %8llu nodes %9llu "
+        "edges  graph=%016llx input=%016llx constraints=%016llx\n",
+        static_cast<long long>(entry.tag),
+        static_cast<unsigned long long>(entry.sequence),
+        static_cast<unsigned long long>(entry.size),
+        blob.value().header.length,
+        static_cast<unsigned long long>(blob.value().header.num_nodes),
+        static_cast<unsigned long long>(blob.value().header.num_edges),
+        static_cast<unsigned long long>(blob.value().header.graph_digest),
+        static_cast<unsigned long long>(blob.value().header.input_digest),
+        static_cast<unsigned long long>(
+            blob.value().header.constraint_digest));
+  }
+  for (const store::StoreEntry& entry : reader.value().explain_entries()) {
+    std::printf("tag %-8lld seq %-6llu %10llu bytes  explain summary\n",
+                static_cast<long long>(entry.tag),
+                static_cast<unsigned long long>(entry.sequence),
+                static_cast<unsigned long long>(entry.size));
+  }
+  std::printf("store: generation %u, %zu blobs, %zu explain summaries, "
+              "%s (%s dead)\n",
+              reader.value().generation(),
+              reader.value().entries().size(),
+              reader.value().explain_entries().size(),
+              HumanBytes(reader.value().FileBytes()).c_str(),
+              HumanBytes(reader.value().DeadBytes()).c_str());
+  return 0;
+}
+
+int StoreGet(const Flags& flags) {
+  const long long tag = flags.GetInt64("tag", 0);
+  const std::string out = flags.Get("out");
+  if (out.empty()) return Fail("missing --out FILE");
+  Result<store::CtStoreReader> reader =
+      store::CtStoreReader::Open(flags.Get("store"));
+  if (!reader.ok()) return Fail(reader.status());
+  if (flags.Has("raw")) {
+    Result<std::string> bytes = reader.value().ReadBlobBytes(tag);
+    if (!bytes.ok()) return Fail(bytes.status());
+    std::ofstream os(out, std::ios::binary);
+    if (!os) return Fail(("cannot write " + out).c_str());
+    os.write(bytes.value().data(),
+             static_cast<std::streamsize>(bytes.value().size()));
+    if (!os.good()) return Fail(("cannot write " + out).c_str());
+    std::printf("tag %lld -> %s (%zu blob bytes)\n", tag, out.c_str(),
+                bytes.value().size());
     return 0;
   }
+  Result<CtGraph> graph =
+      reader.value().LoadView(tag, store::MapVerify::kFull);
+  if (!graph.ok()) return Fail(graph.status());
+  std::ofstream os(out);
+  if (!os) return Fail(("cannot write " + out).c_str());
+  WriteCtGraph(graph.value(), os);
+  if (!os.good()) return Fail(("cannot write " + out).c_str());
+  std::printf("tag %lld -> %s (%zu nodes, %zu edges)\n", tag, out.c_str(),
+              graph.value().NumNodes(), graph.value().NumEdges());
+  return 0;
+}
 
-  return Fail("unknown store verb (expected ls|get|put|compact|verify)");
+int StorePut(const Flags& flags) {
+  const std::string path = flags.Get("store");
+  const long long tag = flags.GetInt64("tag", 0);
+  const std::string in = flags.Get("in");
+  if (in.empty()) return Fail("missing --in FILE");
+  std::ifstream is(in);
+  if (!is) return Fail(("cannot open " + in).c_str());
+  Result<CtGraph> graph = ReadCtGraph(is);
+  if (!graph.ok()) return Fail(graph.status());
+  Result<store::CtStoreWriter> writer =
+      store::CtStoreWriter::OpenOrCreate(path);
+  if (!writer.ok()) return Fail(writer.status());
+  const std::string blob = store::EncodeCtGraphBlob(graph.value(), tag);
+  Status put = writer.value().Put(tag, blob);
+  if (!put.ok()) return Fail(put);
+  Status finished = writer.value().Finish();
+  if (!finished.ok()) return Fail(finished);
+  std::printf("%s: tag %lld <- %s (%zu blob bytes)\n", path.c_str(), tag,
+              in.c_str(), blob.size());
+  return 0;
+}
+
+int StoreCompact(const Flags& flags) {
+  const std::string path = flags.Get("store");
+  Result<store::CompactionStats> stats = store::CompactCtStore(path);
+  if (!stats.ok()) return Fail(stats.status());
+  std::printf("%s: %zu blobs, %s -> %s\n", path.c_str(), stats.value().blobs,
+              HumanBytes(stats.value().bytes_before).c_str(),
+              HumanBytes(stats.value().bytes_after).c_str());
+  return 0;
+}
+
+int StoreVerify(const Flags& flags) {
+  const std::string path = flags.Get("store");
+  Result<store::CtStoreReader> reader = store::CtStoreReader::Open(path);
+  if (!reader.ok()) return Fail(reader.status());
+  Status verified = reader.value().VerifyAll();
+  if (!verified.ok()) return Fail(verified);
+  std::printf(
+      "%s: %zu blobs, %zu explain summaries verified ok (generation %u)\n",
+      path.c_str(), reader.value().entries().size(),
+      reader.value().explain_entries().size(), reader.value().generation());
+  return 0;
 }
 
 /// Location id -> printable name; falls back to the numeric id when no
@@ -937,12 +796,8 @@ std::string ExplainLocationName(const Building* building,
 /// location name.
 std::optional<std::int32_t> ResolveLocationArg(const std::string& text,
                                                const Building* building) {
-  int value = 0;
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec == std::errc() && ptr == text.data() + text.size() && value >= 0) {
-    return static_cast<std::int32_t>(value);
-  }
+  std::int32_t value = 0;
+  if (ParseNumber(text, &value) && value >= 0) return value;
   if (building != nullptr) {
     for (LocationId l = 0;
          l < static_cast<LocationId>(building->NumLocations()); ++l) {
@@ -1039,50 +894,42 @@ int AnswerExplainQuery(const obs::ExplainTagSummary& summary,
 /// The `explain` subcommand: answers attribution queries either from
 /// summaries persisted in a ct-store (`--store FILE [--tag N]`) or by
 /// re-cleaning a directory under an explain session (`--dir DIR`).
-int Explain(const Args& args) {
-  const bool has_query = args.Has("time") || args.Has("location");
-  if (has_query && (!args.Has("time") || !args.Has("location"))) {
+int Explain(const Flags& flags) {
+  const bool has_query = flags.Has("time") || flags.Has("location");
+  if (has_query && (!flags.Has("time") || !flags.Has("location"))) {
     return Fail("--time and --location must be given together");
   }
-  const std::optional<int> time_arg = args.GetStrictInt("time", 0);
-  if (!time_arg.has_value() || *time_arg < 0) {
-    return Fail("--time must be a non-negative integer");
-  }
+  const Timestamp time = flags.GetInt("time", 0);
+  const long long tag = flags.GetInt64("tag", 0);
+  const std::string store_path = flags.Get("store");
 
   // A building is optional context in store mode (names instead of ids)
   // and required in re-clean mode.
   std::optional<Building> building;
-  if (args.Has("dir") || args.Get("store", "").empty()) {
-    Result<Building> loaded = LoadBuilding(args.Get("dir", "."));
-    if (!loaded.ok() && args.Get("store", "").empty()) {
-      return Fail(loaded.status());
-    }
+  if (flags.Has("dir") || store_path.empty()) {
+    Result<Building> loaded = LoadBuilding(flags.Get("dir", "."));
+    if (!loaded.ok() && store_path.empty()) return Fail(loaded.status());
     if (loaded.ok()) building.emplace(std::move(loaded).value());
   }
   const Building* names = building.has_value() ? &*building : nullptr;
 
   std::optional<std::int32_t> location;
   if (has_query) {
-    location = ResolveLocationArg(args.Get("location", ""), names);
+    location = ResolveLocationArg(flags.Get("location"), names);
     if (!location.has_value()) {
       return Fail("--location is neither a location id nor a known name");
     }
   }
 
-  const std::string store_path = args.Get("store", "");
   if (!store_path.empty()) {
     // Decode mode: read the persisted summary; no cleaning, no session.
-    const std::optional<int> tag = args.GetStrictInt("tag", 0);
-    if (!tag.has_value()) return Fail("--tag must be an integer");
     Result<store::CtStoreReader> reader =
         store::CtStoreReader::Open(store_path);
     if (!reader.ok()) return Fail(reader.status());
-    Result<obs::ExplainTagSummary> summary =
-        reader.value().LoadExplain(*tag);
+    Result<obs::ExplainTagSummary> summary = reader.value().LoadExplain(tag);
     if (!summary.ok()) return Fail(summary.status());
     if (has_query) {
-      return AnswerExplainQuery(summary.value(), names, *time_arg,
-                                *location);
+      return AnswerExplainQuery(summary.value(), names, time, *location);
     }
     PrintExplainSummary(summary.value(), names);
     return 0;
@@ -1093,36 +940,30 @@ int Explain(const Args& args) {
   // command explains, it does not overwrite DIR's outputs.
   obs::ExplainOptions options;
   options.enabled = true;
-  const std::optional<int> top_edges = args.GetStrictInt(
-      "explain-top-edges", static_cast<int>(options.top_edges));
-  if (!top_edges.has_value() || *top_edges < 1) {
-    return Fail("--explain-top-edges must be a positive integer");
-  }
-  options.top_edges = static_cast<std::size_t>(*top_edges);
+  options.top_edges = static_cast<std::size_t>(flags.GetInt(
+      "explain-top-edges", static_cast<int>(options.top_edges)));
   std::optional<CleanInputs> inputs =
-      LoadCleanInputs(args, args.Get("dir", "."), *building);
+      LoadCleanInputs(flags, flags.Get("dir", "."), *building);
   if (!inputs.has_value()) return 1;
   obs::StartExplain(options);
   (void)CleanWorkloads(*inputs);
 
   const obs::ExplainCollection collection = obs::CollectExplain();
   obs::StopExplain();
-  const std::string json = args.Get("json", "");
+  const std::string json = flags.Get("json");
   if (!json.empty() && WriteReportFile(json, "json", [&](std::ostream& os) {
         WriteExplainReport(collection, os);
       }) != 0) {
     return 1;
   }
   if (has_query) {
-    const std::optional<int> tag = args.GetStrictInt("tag", 0);
-    if (!tag.has_value()) return Fail("--tag must be an integer");
-    const obs::ExplainTagSummary* summary = collection.FindTag(*tag);
+    const obs::ExplainTagSummary* summary = collection.FindTag(tag);
     if (summary == nullptr) {
-      return Fail(StrFormat("tag %d was not cleaned (no summary recorded)",
-                            *tag)
-                      .c_str());
+      return Fail(
+          StrFormat("tag %lld was not cleaned (no summary recorded)", tag)
+              .c_str());
     }
-    return AnswerExplainQuery(*summary, names, *time_arg, *location);
+    return AnswerExplainQuery(*summary, names, time, *location);
   }
   for (const obs::ExplainTagSummary& summary : collection.tags) {
     PrintExplainSummary(summary, names);
@@ -1130,13 +971,12 @@ int Explain(const Args& args) {
   return 0;
 }
 
-int PatternQuery(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
-  Result<Building> building = LoadBuilding(dir);
+int PatternQuery(const Flags& flags) {
+  Result<Building> building = LoadBuilding(flags.Get("dir", "."));
   if (!building.ok()) return Fail(building.status());
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadQueryGraph(flags);
   if (!graph.ok()) return Fail(graph.status());
-  std::string text = args.Get("pattern", "");
+  std::string text = flags.Get("pattern");
   if (text.empty()) return Fail("missing --pattern");
   Result<Pattern> pattern = Pattern::Parse(text, building.value());
   if (!pattern.ok()) return Fail(pattern.status());
@@ -1145,15 +985,14 @@ int PatternQuery(const Args& args) {
   return 0;
 }
 
-int Sample(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
-  Result<Building> building = LoadBuilding(dir);
+int Sample(const Flags& flags) {
+  Result<Building> building = LoadBuilding(flags.Get("dir", "."));
   if (!building.ok()) return Fail(building.status());
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadQueryGraph(flags);
   if (!graph.ok()) return Fail(graph.status());
   TrajectorySampler sampler(graph.value());
-  Rng rng(static_cast<std::uint64_t>(args.GetInt("seed", 7)));
-  int count = args.GetInt("count", 3);
+  Rng rng(static_cast<std::uint64_t>(flags.GetInt64("seed", 7)));
+  int count = flags.GetInt("count", 3);
   for (int i = 0; i < count; ++i) {
     Trajectory sample = sampler.Sample(rng);
     std::printf("#%d:", i + 1);
@@ -1169,16 +1008,14 @@ int Sample(const Args& args) {
   return 0;
 }
 
-
-int Report(const Args& args) {
-  const std::string dir = args.Get("dir", ".");
-  Result<Building> building = LoadBuilding(dir);
+int Report(const Flags& flags) {
+  Result<Building> building = LoadBuilding(flags.Get("dir", "."));
   if (!building.ok()) return Fail(building.status());
-  Result<CtGraph> graph = LoadGraph(dir);
+  Result<CtGraph> graph = LoadQueryGraph(flags);
   if (!graph.ok()) return Fail(graph.status());
   const CtGraph& g = graph.value();
 
-  if (args.GetBool("audit", false)) {
+  if (flags.Has("audit")) {
     AuditReport audit = AuditGraph(g);
     std::printf("%s\n", audit.ToString().c_str());
     if (!audit.ok()) return 1;
@@ -1234,51 +1071,116 @@ int Report(const Args& args) {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: rfidclean_cli "
-      "<generate|clean|explain|check-constraints|stay|pattern|sample|report|"
-      "store> [--key value ...]\n"
-      "  generate --floors N --duration T --seed S --out DIR [--tags N]\n"
-      "  clean    --dir DIR [--families DU|DU+LT|DU+LT+TT] [--dot F] "
-      "[--audit] [--no-preflight] [--jobs N] [--forward-threads N]\n"
-      "           [--store FILE] [--stats[=FILE]] [--trace[=FILE]] "
-      "[--trace-buffer-events N]\n"
-      "           [--explain[=FILE]] [--explain-top-edges N]\n"
-      "  explain  --store FILE --tag T [--time T --location L]  (decode a "
-      "persisted summary)\n"
-      "  explain  --dir DIR [--families ...] [--seed S] [--jobs N] "
-      "[--no-preflight] [--tag T]\n"
-      "           [--time T --location L] [--json FILE] "
-      "[--explain-top-edges N]  (re-clean and attribute)\n"
-      "  check-constraints --dir DIR [--families ...] [--json FILE]\n"
-      "  stay     --dir DIR --time T [--store FILE --tag T]\n"
-      "  pattern  --dir DIR --pattern \"? F0.RoomA[5] ?\"\n"
-      "  sample   --dir DIR --count N --seed S\n"
-      "  report   --dir DIR [--audit]\n"
-      "  store    ls      --store FILE\n"
-      "  store    get     --store FILE --tag T --out F [--raw]\n"
-      "  store    put     --store FILE --tag T --in F\n"
-      "  store    compact --store FILE\n"
-      "  store    verify  --store FILE\n");
-  return 2;
+/// One subcommand: its name ("store <verb>" for the store verbs), the flags
+/// it accepts, its usage line and its handler.
+struct Command {
+  const char* name;
+  std::vector<FlagSpec> flags;
+  const char* usage;
+  int (*run)(const Flags&);
+};
+
+std::vector<FlagSpec> With(std::vector<FlagSpec> flags,
+                           const std::vector<FlagSpec>& more) {
+  flags.insert(flags.end(), more.begin(), more.end());
+  return flags;
 }
 
+const std::vector<Command>& Commands() {
+  using F = FlagSpec;
+  // What LoadCleanInputs reads, for clean and explain's re-clean mode.
+  const std::vector<FlagSpec> cleaning = {
+      {"dir", F::kText}, {"families", F::kText}, {"seed", F::kInt64},
+      {"jobs", F::kPositiveInt}, {"forward-threads", F::kPositiveInt},
+      {"no-preflight", F::kSwitch}};
+  // What LoadQueryGraph reads.
+  const std::vector<FlagSpec> query = {
+      {"dir", F::kText}, {"store", F::kText}, {"tag", F::kInt64}};
+  static const std::vector<Command> commands = {
+      {"generate",
+       {{"floors", F::kPositiveInt}, {"duration", F::kPositiveInt},
+        {"seed", F::kInt64}, {"out", F::kText}, {"tags", F::kNonNegativeInt}},
+       "[--floors N] [--duration T] [--seed S] [--out DIR] [--tags N]",
+       Generate},
+      {"clean",
+       With(cleaning, {{"audit", F::kSwitch}, {"dot", F::kText},
+                       {"store", F::kText}, {"stats", F::kOptional},
+                       {"trace", F::kOptional}, {"explain", F::kOptional},
+                       {"trace-buffer-events", F::kPositiveInt},
+                       {"explain-top-edges", F::kPositiveInt}}),
+       "--dir DIR [--families DU|DU+LT|DU+LT+TT] [--seed S] [--jobs N]\n"
+       "      [--forward-threads N] [--no-preflight] [--audit] [--dot FILE]\n"
+       "      [--store FILE] [--stats[=FILE]] [--trace[=FILE]]\n"
+       "      [--trace-buffer-events N] [--explain[=FILE]] "
+       "[--explain-top-edges N]",
+       Clean},
+      {"explain",
+       With(cleaning, {{"store", F::kText}, {"tag", F::kInt64},
+                       {"time", F::kNonNegativeInt}, {"location", F::kText},
+                       {"json", F::kText},
+                       {"explain-top-edges", F::kPositiveInt}}),
+       "[--store FILE] [--dir DIR] [--tag T] [--time T --location L]\n"
+       "      [--json FILE] [--families F] [--seed S] [--jobs N]\n"
+       "      [--forward-threads N] [--no-preflight] [--explain-top-edges N]\n"
+       "      (with --store: decode the stored summary; else re-clean DIR)",
+       Explain},
+      {"check-constraints",
+       {{"dir", F::kText}, {"families", F::kText}, {"seed", F::kInt64},
+        {"json", F::kText}},
+       "--dir DIR [--families F] [--seed S] [--json FILE]", CheckConstraints},
+      {"stay", With(query, {{"time", F::kInt}}),
+       "--dir DIR [--store FILE --tag T] --time T", Stay},
+      {"pattern", With(query, {{"pattern", F::kText}}),
+       "--dir DIR [--store FILE --tag T] --pattern \"? F0.RoomA[5] ?\"",
+       PatternQuery},
+      {"sample", With(query, {{"count", F::kInt}, {"seed", F::kInt64}}),
+       "--dir DIR [--store FILE --tag T] [--count N] [--seed S]", Sample},
+      {"report", With(query, {{"audit", F::kSwitch}}),
+       "--dir DIR [--store FILE --tag T] [--audit]", Report},
+      {"store ls", {{"store", F::kText}}, "--store FILE", StoreLs},
+      {"store get",
+       {{"store", F::kText}, {"tag", F::kInt64}, {"out", F::kText},
+        {"raw", F::kSwitch}},
+       "--store FILE --tag T --out FILE [--raw]", StoreGet},
+      {"store put", {{"store", F::kText}, {"tag", F::kInt64}, {"in", F::kText}},
+       "--store FILE --tag T --in FILE", StorePut},
+      {"store compact", {{"store", F::kText}}, "--store FILE", StoreCompact},
+      {"store verify", {{"store", F::kText}}, "--store FILE", StoreVerify},
+  };
+  return commands;
+}
+
+/// Runs the command named by argv[1] (and argv[2] for a store verb). Exits
+/// 0 on success, 1 when the command fails, and 2 on a usage error (an
+/// unknown command, or Flags::Parse's), which is diagnosed before any work.
 int Main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  std::string command = argv[1];
-  if (command == "store") return StoreCmd(argc, argv);
-  Args args(argc, argv, 2);
-  if (command == "generate") return Generate(args);
-  if (command == "clean") return Clean(args);
-  if (command == "explain") return Explain(args);
-  if (command == "check-constraints") return CheckConstraints(args);
-  if (command == "stay") return Stay(args);
-  if (command == "pattern") return PatternQuery(args);
-  if (command == "sample") return Sample(args);
-  if (command == "report") return Report(args);
-  return Usage();
+  std::string name = argc > 1 ? argv[1] : "";
+  const int first = name == "store" && argc > 2 ? 3 : 2;
+  if (first == 3) name = name + " " + argv[2];
+  for (const Command& command : Commands()) {
+    if (name != command.name) continue;
+    Result<Flags> flags =
+        Flags::Parse(command.flags, argc - first, argv + first);
+    std::string error = flags.ok() ? "" : flags.status().message();
+    // Every store verb operates on one container.
+    if (flags.ok() && !flags->help() && first == 3 &&
+        flags->Get("store").empty()) {
+      error = "missing --store FILE";
+    }
+    if (error.empty() && !flags->help()) return command.run(*flags);
+    if (!error.empty()) std::fprintf(stderr, "error: %s\n", error.c_str());
+    std::fprintf(error.empty() ? stdout : stderr,
+                 "usage: rfidclean_cli %s %s\n", command.name, command.usage);
+    return error.empty() ? 0 : 2;
+  }
+  if (!name.empty()) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", name.c_str());
+  }
+  std::fprintf(stderr, "usage: rfidclean_cli <command> [--flag value ...]\n");
+  for (const Command& command : Commands()) {
+    std::fprintf(stderr, "  %s %s\n", command.name, command.usage);
+  }
+  return 2;
 }
 
 }  // namespace
